@@ -1,8 +1,8 @@
 """Hot-path microbenchmarks: vectorized kernels vs loop references.
 
-Times the optimisation targets of the perf PRs against the retained
-``*_reference`` implementations and writes the results (plus speedups) to
-``BENCH_hotpaths.json`` at the repo root:
+Times the optimisation targets of the perf PRs against the
+``*_reference`` oracles in ``repro.oracles`` and writes the results (plus
+speedups) to ``BENCH_hotpaths.json`` at the repo root:
 
 * **spmm** — ``Graph.adjacency_matmul`` (cached-CSR / segment-sum) vs the
   ``np.add.at`` scatter reference, on a 4096-vertex dc-SBM graph with
@@ -88,10 +88,11 @@ REPO_ROOT = os.path.dirname(
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
 from repro.graphs.generators import dc_sbm_graph  # noqa: E402
+from repro.oracles.graphs import adjacency_matmul_reference  # noqa: E402
+from repro.oracles.pipeline import simulate_pipeline_reference  # noqa: E402
 from repro.pipeline.simulator import (  # noqa: E402
     ScheduleMode,
     simulate_pipeline,
-    simulate_pipeline_reference,
 )
 
 # Quick-mode sweep subset: enough total work (~13 s warm) that pool
@@ -140,10 +141,10 @@ def bench_spmm(quick: bool) -> Dict[str, float]:
     ).astype(np.float32)
 
     vec = best_of(lambda: graph.adjacency_matmul(dense), repeats)
-    ref = best_of(lambda: graph.adjacency_matmul_reference(dense), repeats)
+    ref = best_of(lambda: adjacency_matmul_reference(graph, dense), repeats)
     np.testing.assert_allclose(
         graph.adjacency_matmul(dense),
-        graph.adjacency_matmul_reference(dense),
+        adjacency_matmul_reference(graph, dense),
         rtol=1e-4, atol=1e-4,
     )
     return {
@@ -192,10 +193,12 @@ def bench_functional(quick: bool) -> Dict[str, object]:
 
     Both paths run from fresh grids with the same seed, so the noise
     streams line up and the results — outputs and stats — must match
-    bit-for-bit.  Raises if they do not.
+    bit-for-bit.  Raises if they do not.  The reference path is the same
+    forward with the per-edge aggregation oracle swapped in.
     """
+    import repro.hardware.functional_gcn as functional
     from repro.gcn.model import GCN
-    from repro.hardware.functional_gcn import FunctionalGCN
+    from repro.oracles.hardware import aggregate_reference
 
     num_vertices = 256 if quick else 4096
     feature_dim = 32 if quick else 128
@@ -216,25 +219,32 @@ def bench_functional(quick: bool) -> Dict[str, object]:
         random_state=3,
     )
 
-    def make(vectorized: bool) -> FunctionalGCN:
+    def make() -> "functional.FunctionalGCN":
         # Fresh grids per run: crossbar RNG streams advance with use, so
         # a fair (and bit-comparable) run always starts from seed state.
-        return FunctionalGCN(
-            model, quantize=True, read_noise_sigma=0.05,
-            random_state=17, vectorized=vectorized,
+        return functional.FunctionalGCN(
+            model, quantize=True, read_noise_sigma=0.05, random_state=17,
         )
+
+    def forward_reference(gcn):
+        engine = functional.aggregate
+        functional.aggregate = aggregate_reference
+        try:
+            return gcn.forward(graph, features)
+        finally:
+            functional.aggregate = engine
 
     repeats = 2 if quick else 3
     vec = min(
-        _timed(lambda: make(True).forward(graph, features))
+        _timed(lambda: make().forward(graph, features))
         for _ in range(repeats)
     )
-    ref = _timed(lambda: make(False).forward(graph, features))
+    ref = _timed(lambda: forward_reference(make()))
 
-    vectorized = make(True)
-    reference = make(False)
+    vectorized = make()
+    reference = make()
     out_vec = vectorized.forward(graph, features)
-    out_ref = reference.forward(graph, features)
+    out_ref = forward_reference(reference)
     stats_vec = vectorized.stats()
     stats_ref = reference.stats()
     if not np.array_equal(out_vec, out_ref):
@@ -273,11 +283,9 @@ def bench_allocator(quick: bool) -> Dict[str, object]:
     greedy refinement cheap while deep caps (4096) give the reference
     thousands of candidate times to probe one by one.
     """
-    from repro.allocation.baselines import (
-        exhaustive_allocation,
-        exhaustive_allocation_reference,
-    )
+    from repro.allocation.baselines import exhaustive_allocation
     from repro.allocation.problem import AllocationProblem
+    from repro.oracles.allocation import exhaustive_allocation_reference
 
     num_stages = 64
     rng = np.random.default_rng(42)
@@ -338,11 +346,9 @@ def bench_greedy(quick: bool) -> Dict[str, object]:
     """
     from repro.allocation.batched import allocate_many
     from repro.allocation.engine import greedy_allocation_counts
-    from repro.allocation.greedy import (
-        greedy_allocation,
-        greedy_allocation_reference,
-    )
+    from repro.allocation.greedy import greedy_allocation
     from repro.allocation.problem import AllocationProblem
+    from repro.oracles.allocation import greedy_allocation_reference
     from repro.perf import clear_cache
 
     def make(num_stages, budget, cost_lo, cost_hi, mbs, seed):
@@ -469,10 +475,8 @@ def bench_serving(quick: bool) -> Dict[str, object]:
     path is a native-int sequential loop — faster than the reference,
     but not the vectorization this bench guards).
     """
-    from repro.serving.engine import (
-        simulate_serving,
-        simulate_serving_reference,
-    )
+    from repro.oracles.serving import simulate_serving_reference
+    from repro.serving.engine import simulate_serving
 
     num_stages = 4
     num_batches = 5_000 if quick else 40_000

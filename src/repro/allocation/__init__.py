@@ -1,11 +1,8 @@
 """Crossbar resource allocation: Algorithm 1 and baseline policies."""
 
-from repro.allocation.heap import FlatMaxKeys, IndexedMaxHeap, LazyMaxKeys
+from repro.allocation.heap import LazyMaxKeys
 from repro.allocation.problem import AllocationProblem, AllocationResult
-from repro.allocation.greedy import (
-    greedy_allocation,
-    greedy_allocation_reference,
-)
+from repro.allocation.greedy import greedy_allocation
 from repro.allocation.batched import allocate_many
 from repro.allocation.baselines import (
     combination_only_allocation,
@@ -16,13 +13,10 @@ from repro.allocation.baselines import (
 )
 
 __all__ = [
-    "FlatMaxKeys",
-    "IndexedMaxHeap",
     "LazyMaxKeys",
     "AllocationProblem",
     "AllocationResult",
     "greedy_allocation",
-    "greedy_allocation_reference",
     "allocate_many",
     "combination_only_allocation",
     "exhaustive_allocation",

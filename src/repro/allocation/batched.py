@@ -9,7 +9,7 @@ walks in lock-step: one iteration buys (at most) one replica for *every*
 still-active problem via elementwise ``[P, S]`` numpy state.
 
 Exactness: every quantity is computed with the same float64 expressions
-as :func:`~repro.allocation.greedy.greedy_allocation_reference`, applied
+as :func:`~repro.oracles.allocation.greedy_allocation_reference`, applied
 elementwise — IEEE-754 arithmetic is identical scalar-by-scalar, argmax
 ties break to the first (smallest stage id) exactly like the priority
 stores, and problems are padded to a common stage count with dead stages

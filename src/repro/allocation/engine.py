@@ -1,6 +1,7 @@
 """Run-skipping greedy engine behind :func:`greedy_allocation`.
 
-The reference loop (kept as ``greedy_allocation_reference``) performs one
+The reference loop (the oracle
+:func:`repro.oracles.allocation.greedy_allocation_reference`) performs one
 O(S) priority-store scan per replica purchased — fine at quick-sweep
 budgets, hopeless at the budget-10^5 scales of multi-chip scalability
 sweeps and design-space synthesis.  This engine reproduces the exact

@@ -1,261 +1,17 @@
-"""Indexed max-heap used by Algorithm 1 (Section V-B).
+"""The longest-stage heap of Algorithm 1 (Section V-B).
 
 The paper's allocator keeps two max heaps — one over per-stage *adjust
-values*, one over per-stage *execution times* — and needs three operations
-beyond a plain heap: read the top, update the key of an arbitrary stage
-(``findNode`` + reheapify), and stay consistent when keys move both up and
-down.  :class:`IndexedMaxHeap` supports all of that in O(log n) via a
-position map from stage id to heap slot.
+values*, one over per-stage *execution times*.  The run-skipping engine
+replaces the adjust-value heap with wave arithmetic and keeps the
+execution-time heap as :class:`LazyMaxKeys`.  The paper's indexed heap
+(``findNode`` + reheapify) drives the one-purchase-per-iteration oracle
+in :mod:`repro.oracles.allocation`.
 """
 
 from __future__ import annotations
 
 import heapq as _heapq
-from typing import Dict, Iterable, List, Optional, Tuple
-
-import numpy as _np
-
-from repro.errors import AllocationError
-
-
-class IndexedMaxHeap:
-    """Max-heap of (key, item) pairs with O(log n) key updates by item.
-
-    Items must be hashable and unique.  Ties are broken by insertion order
-    (earlier insertions win) so behaviour is deterministic.
-    """
-
-    def __init__(self, entries: Optional[Iterable[Tuple[float, object]]] = None) -> None:
-        self._heap: List[Tuple[float, int, object]] = []
-        self._pos: Dict[object, int] = {}
-        self._counter = 0
-        if entries is not None:
-            for key, item in entries:
-                self.push(key, item)
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __contains__(self, item: object) -> bool:
-        return item in self._pos
-
-    # ------------------------------------------------------------------
-    def push(self, key: float, item: object) -> None:
-        """Insert a new item with the given key."""
-        if item in self._pos:
-            raise AllocationError(f"item {item!r} already in heap")
-        self._heap.append((float(key), self._counter, item))
-        self._counter += 1
-        self._pos[item] = len(self._heap) - 1
-        self._sift_up(len(self._heap) - 1)
-
-    def top(self) -> Tuple[float, object]:
-        """The (key, item) pair with the maximum key."""
-        if not self._heap:
-            raise AllocationError("heap is empty")
-        key, _, item = self._heap[0]
-        return key, item
-
-    def pop(self) -> Tuple[float, object]:
-        """Remove and return the maximum (key, item) pair."""
-        key, item = self.top()
-        self._swap(0, len(self._heap) - 1)
-        self._heap.pop()
-        del self._pos[item]
-        if self._heap:
-            self._sift_down(0)
-        return key, item
-
-    def key_of(self, item: object) -> float:
-        """Current key of ``item``."""
-        index = self._pos.get(item)
-        if index is None:
-            raise AllocationError(f"item {item!r} not in heap")
-        return self._heap[index][0]
-
-    def update(self, item: object, new_key: float) -> None:
-        """Change ``item``'s key and restore the heap property."""
-        index = self._pos.get(item)
-        if index is None:
-            raise AllocationError(f"item {item!r} not in heap")
-        old_key, order, _ = self._heap[index]
-        self._heap[index] = (float(new_key), order, item)
-        if new_key > old_key:
-            self._sift_up(index)
-        else:
-            self._sift_down(index)
-
-    def remove(self, item: object) -> None:
-        """Delete ``item`` from the heap."""
-        index = self._pos.get(item)
-        if index is None:
-            raise AllocationError(f"item {item!r} not in heap")
-        last = len(self._heap) - 1
-        self._swap(index, last)
-        self._heap.pop()
-        del self._pos[item]
-        if index < len(self._heap):
-            self._sift_down(index)
-            self._sift_up(index)
-
-    def items(self) -> List[Tuple[float, object]]:
-        """All (key, item) pairs in arbitrary heap order."""
-        return [(key, item) for key, _, item in self._heap]
-
-    def max_excluding(self, item: object, default: float = 0.0) -> float:
-        """Largest key among entries other than ``item`` (floored at
-        ``default``), without materialising the entries.
-
-        O(1) by the heap invariant: when ``item`` is not at the root the
-        root key is the answer; when it is, the second-largest key must
-        sit at one of the root's children.
-        """
-        index = self._pos.get(item)
-        if index is None:
-            raise AllocationError(f"item {item!r} not in heap")
-        if len(self._heap) == 1:
-            return default
-        if index != 0:
-            return max(default, self._heap[0][0])
-        best = default
-        for child in (1, 2):
-            if child < len(self._heap) and self._heap[child][0] > best:
-                best = self._heap[child][0]
-        return best
-
-    # ------------------------------------------------------------------
-    def _greater(self, a: int, b: int) -> bool:
-        ka, oa, _ = self._heap[a]
-        kb, ob, _ = self._heap[b]
-        return (ka, -oa) > (kb, -ob)
-
-    def _swap(self, a: int, b: int) -> None:
-        self._heap[a], self._heap[b] = self._heap[b], self._heap[a]
-        self._pos[self._heap[a][2]] = a
-        self._pos[self._heap[b][2]] = b
-
-    def _sift_up(self, index: int) -> None:
-        while index > 0:
-            parent = (index - 1) // 2
-            if self._greater(index, parent):
-                self._swap(index, parent)
-                index = parent
-            else:
-                return
-
-    def _sift_down(self, index: int) -> None:
-        size = len(self._heap)
-        while True:
-            left = 2 * index + 1
-            right = left + 1
-            largest = index
-            if left < size and self._greater(left, largest):
-                largest = left
-            if right < size and self._greater(right, largest):
-                largest = right
-            if largest == index:
-                return
-            self._swap(index, largest)
-            index = largest
-
-    def is_valid(self) -> bool:
-        """Check the heap invariant (used by property tests)."""
-        for index in range(1, len(self._heap)):
-            parent = (index - 1) // 2
-            if self._greater(index, parent):
-                return False
-        for item, index in self._pos.items():
-            if self._heap[index][2] is not item and self._heap[index][2] != item:
-                return False
-        return True
-
-
-class FlatMaxKeys:
-    """Array-backed replacement for the heap operations Algorithm 1 uses.
-
-    :class:`IndexedMaxHeap` orders entries by the strict total order
-    ``(key, -insertion_order)``, so ``top()`` and ``max_excluding()`` are
-    *functions of the key assignment alone* — any store that answers the
-    same queries under the same order is decision-identical.  For the
-    allocator's small stage counts (tens of stages), a flat numpy key
-    array with ``argmax`` (which returns the first — i.e. earliest
-    inserted — maximum, matching the heap's tie-break) beats the pure
-    Python sift loops by a wide margin: O(1) updates and one vectorized
-    scan per query instead of O(log n) Python calls per mutation.
-
-    Supports the subset of the heap API the greedy needs: ``push``,
-    ``top``, ``update``, ``max_excluding``, ``key_of``, ``__len__``.
-    Items must be hashable and unique, exactly as for the heap.
-    """
-
-    def __init__(self, entries: Optional[Iterable[Tuple[float, object]]] = None) -> None:
-        self._keys = _np.empty(8, dtype=_np.float64)
-        self._items: List[object] = []
-        self._pos: Dict[object, int] = {}
-        if entries is not None:
-            for key, item in entries:
-                self.push(key, item)
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __contains__(self, item: object) -> bool:
-        return item in self._pos
-
-    def push(self, key: float, item: object) -> None:
-        """Insert a new item with the given key."""
-        if item in self._pos:
-            raise AllocationError(f"item {item!r} already in heap")
-        size = len(self._items)
-        if size == self._keys.size:
-            grown = _np.empty(2 * size, dtype=_np.float64)
-            grown[:size] = self._keys
-            self._keys = grown
-        self._keys[size] = key
-        self._items.append(item)
-        self._pos[item] = size
-
-    def top(self) -> Tuple[float, object]:
-        """The (key, item) pair maximal under ``(key, -insertion order)``."""
-        size = len(self._items)
-        if not size:
-            raise AllocationError("heap is empty")
-        keys = self._keys
-        slot = keys[:size].argmax()
-        return keys[slot], self._items[slot]
-
-    def key_of(self, item: object) -> float:
-        """Current key of ``item``."""
-        slot = self._pos.get(item)
-        if slot is None:
-            raise AllocationError(f"item {item!r} not in heap")
-        return float(self._keys[slot])
-
-    def update(self, item: object, new_key: float) -> None:
-        """Change ``item``'s key (O(1))."""
-        slot = self._pos.get(item)
-        if slot is None:
-            raise AllocationError(f"item {item!r} not in heap")
-        self._keys[slot] = new_key
-
-    def max_excluding(self, item: object, default: float = 0.0) -> float:
-        """Largest key among entries other than ``item``, floored at
-        ``default`` — same contract as the heap's method."""
-        slot = self._pos.get(item)
-        if slot is None:
-            raise AllocationError(f"item {item!r} not in heap")
-        size = len(self._items)
-        if size == 1:
-            return default
-        keys = self._keys[:size]
-        best_slot = keys.argmax()
-        if best_slot != slot:
-            return max(default, keys[best_slot])
-        saved = keys[slot]
-        keys[slot] = -_np.inf
-        second = keys.max()
-        keys[slot] = saved
-        return max(default, second)
+from typing import Iterable, List, Tuple
 
 
 class LazyMaxKeys:
@@ -267,7 +23,7 @@ class LazyMaxKeys:
     stale entries left in place — an entry is live iff its key matches
     the stage's current key — makes every update an O(log n) push and
     every query an amortised O(log n) pop-until-live, with no O(n)
-    ``argmax`` scans.  The total order matches the other stores:
+    ``argmax`` scans.  The total order matches the oracle's indexed heap:
     ``(key, -insertion_order)`` with stage id as insertion order, i.e.
     ties break toward the *smallest* stage id.
 

@@ -40,7 +40,7 @@ class AnalyticBackend(SimulationBackend):
             # whole-epoch matrix (the pre-protocol AcceleratorModel call).
             return timing.stage_time_matrix(program.replicas)
         # One specific write phase: the co-simulation's per-epoch table
-        # (the pre-protocol CoSimulation._epoch_times stack).
+        # (pinned against repro.oracles.core.epoch_times_reference).
         replicas = program.replica_vector()
         return np.stack([
             timing.compute_times_ns(stage, int(replicas[i]))
@@ -56,8 +56,8 @@ class AnalyticBackend(SimulationBackend):
         edges: np.ndarray,
     ) -> np.ndarray:
         # Term-for-term the pre-protocol ServingCostModel.batch_times_ns
-        # body (retained there as batch_times_ns_reference); quantised
-        # once at the end, byte-identical int64 output.
+        # body (kept as repro.oracles.serving.batch_times_ns_reference);
+        # quantised once at the end, byte-identical int64 output.
         sizes_f = np.asarray(sizes, dtype=np.float64)
         edges_f = np.asarray(edges, dtype=np.float64)
         out = np.empty((model.num_stages, sizes_f.size))

@@ -22,9 +22,10 @@ from repro.allocation.baselines import (
     serial_allocation,
     uniform_allocation,
 )
-from repro.allocation.greedy import greedy_allocation, greedy_allocation_reference
+from repro.allocation.greedy import greedy_allocation
 from repro.allocation.problem import AllocationProblem
 from repro.experiments.harness import ExperimentResult
+from repro.oracles.allocation import greedy_allocation_reference
 from repro.runtime import Session, default_session, experiment
 from repro.stages.latency import StageTimingModel
 

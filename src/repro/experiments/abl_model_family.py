@@ -14,16 +14,13 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-import numpy as np
-
 from repro.accelerators.catalog import gopim, serial
 from repro.errors import ExperimentError
 from repro.experiments.harness import (
     ExperimentResult,
-    train_with_split,
     train_with_split_replicas,
 )
-from repro.gcn.model import GCN, StaleFeatureStore
+from repro.gcn.model import GCN
 from repro.gcn.sage import GraphSAGE
 from repro.mapping.selective import build_update_plan
 from repro.runtime import Session, default_session, experiment
@@ -38,22 +35,6 @@ def sage_workload(base: Workload) -> Workload:
     return Workload(
         graph=base.graph, layer_dims=dims,
         micro_batch=base.micro_batch, name=f"{base.name}-sage",
-    )
-
-
-def _train(model, graph, plan, epochs: int, seed: int) -> float:
-    store = StaleFeatureStore(model.num_layers)
-    return train_with_split(
-        model, graph, epochs, seed,
-        forward_kwargs=lambda epoch: {
-            "store": store,
-            "updated": (
-                None if plan is None else plan.vertices_updated_at(epoch)
-            ),
-        },
-        eval_kwargs={
-            "store": store, "updated": np.array([], dtype=np.int64),
-        },
     )
 
 

@@ -99,9 +99,10 @@ capacity with queue depth diverging beyond it.
 **Performance.** The sweep's hot paths (SpMM, pipeline recurrence,
 stage timing tables, the functional crossbar engine's aggregation /
 combination phases, the exhaustive allocator's candidate sweep, and the
-interleaved-mapping dealer) are vectorized with retained `*_reference`
-loops; equivalence is bit-for-bit, including the seeded read-noise
-stream and `CrossbarStats` counters (see MODEL.md section 7).
+interleaved-mapping dealer) are vectorized, with their `*_reference`
+loops kept in `repro.oracles`; equivalence is bit-for-bit, including
+the seeded read-noise stream and `CrossbarStats` counters (see MODEL.md
+section 7).
 Deterministic regressor fits are memoised through the content-keyed
 artifact cache (restored state is bit-identical to a fresh fit), so
 repeated sweeps pay for each distinct predictor configuration once.

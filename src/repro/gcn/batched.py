@@ -261,11 +261,9 @@ class _StackedGCN:
         (None = every replica refreshes fully this round)."""
         if params is None:
             params = self.params
-        # Fast tier: elementwise mask/dropout products run in place on
-        # the owned aggregation output (the exact tier keeps the serial
-        # out-of-place ops, whose allocation pattern the bit-identity
-        # tests pin down).
-        fast = kernels.fast_mode()
+        # Elementwise mask/dropout products run in place on the owned
+        # aggregation output: the same values the out-of-place products
+        # give, without the [R, V, d] temporaries.
         cache: dict = {"inputs": [], "masks": [], "fresh": [], "dropout": []}
         hidden: np.ndarray = features  # [V, d0] shared, then [R, V, d]
         for i in range(self.num_layers):
@@ -290,10 +288,7 @@ class _StackedGCN:
                 aggregated = aggregated * factors
             if i < self.num_layers - 1:
                 mask = aggregated > 0
-                if fast:
-                    hidden = np.multiply(aggregated, mask, out=aggregated)
-                else:
-                    hidden = aggregated * mask
+                hidden = np.multiply(aggregated, mask, out=aggregated)
                 cache["masks"].append(mask)
                 if training and self._dropout > 0:
                     shape = hidden.shape[1:]
@@ -308,10 +303,7 @@ class _StackedGCN:
                         keep /= (1.0 - self._dropout)
                         keeps.append(keep)
                     keep_stack = np.stack(keeps)
-                    if fast:
-                        hidden = np.multiply(hidden, keep_stack, out=hidden)
-                    else:
-                        hidden = hidden * keep_stack
+                    hidden = np.multiply(hidden, keep_stack, out=hidden)
                     cache["dropout"].append(keep_stack)
                 else:
                     cache["dropout"].append(None)
@@ -330,37 +322,27 @@ class _StackedGCN:
     ) -> Dict[str, np.ndarray]:
         """Batched backward mirroring :meth:`GCN.backward` per slice.
 
-        Fast tier only: elementwise products run in place, which may
-        scribble on ``grad_output`` — every caller owns that buffer and
-        fully rewrites it before the next use.
+        Elementwise products run in place, which may scribble on
+        ``grad_output`` — every caller owns that buffer and fully
+        rewrites it before the next use.
         """
         if params is None:
             params = self.params
-        fast = kernels.fast_mode()
         grads: Dict[str, np.ndarray] = {}
         grad = np.asarray(grad_output, dtype=np.float32)
         for i in range(self.num_layers - 1, -1, -1):
             keep = cache["dropout"][i]
             if keep is not None:
-                grad = (
-                    np.multiply(grad, keep, out=grad) if fast
-                    else grad * keep
-                )
+                grad = np.multiply(grad, keep, out=grad)
             mask = cache["masks"][i]
             if mask is not None:
-                grad = (
-                    np.multiply(grad, mask, out=grad) if fast
-                    else grad * mask
-                )
+                grad = np.multiply(grad, mask, out=grad)
             grad_combined = _stacked_adjacency(graph, grad)
             fresh = cache["fresh"][i]
             if fresh is not None:
-                if fast:
-                    np.multiply(
-                        grad_combined, fresh[:, :, None], out=grad_combined,
-                    )
-                else:
-                    grad_combined = grad_combined * fresh[:, :, None]
+                np.multiply(
+                    grad_combined, fresh[:, :, None], out=grad_combined,
+                )
             inputs = cache["inputs"][i]
             if inputs.ndim == 2:  # shared features: broadcast over R
                 grads[f"W{i}"] = np.matmul(inputs.T, grad_combined)

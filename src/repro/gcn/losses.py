@@ -250,11 +250,10 @@ def link_bce_loss(
     """Binary cross-entropy over positive/negative edges.
 
     Returns the loss and its gradient w.r.t. the vertex embeddings.
-    Fast path: the reference's four sequential ``np.add.at`` scatters
-    are fused into one stably-ordered sparse SpMM
+    The per-edge gradient scatters run as one stably-ordered sparse SpMM
     (``edge_scatter_plan`` / ``apply_edge_scatter``), which preserves
-    the per-target accumulation order and is therefore bit-identical to
-    ``link_bce_loss_reference``.
+    the per-target accumulation order of sequential ``np.add.at``
+    scatters.
     """
     pos_edges = np.asarray(pos_edges, dtype=np.int64)
     neg_edges = np.asarray(neg_edges, dtype=np.int64)
@@ -271,35 +270,6 @@ def link_bce_loss(
     grad = apply_edge_scatter(
         order, indptr, sorted_cols, np.concatenate(data_parts), embeddings,
     )
-    return total / count, (grad / count).astype(np.float32)
-
-
-def link_bce_loss_reference(
-    embeddings: np.ndarray,
-    pos_edges: np.ndarray,
-    neg_edges: np.ndarray,
-) -> Tuple[float, np.ndarray]:
-    """Reference loop for :func:`link_bce_loss` (sequential scatters)."""
-    pos_edges = np.asarray(pos_edges, dtype=np.int64)
-    neg_edges = np.asarray(neg_edges, dtype=np.int64)
-    if pos_edges.size == 0 and neg_edges.size == 0:
-        raise TrainingError("need at least one edge")
-    grad = np.zeros_like(embeddings, dtype=np.float64)
-    total = 0.0
-    count = 0
-    for edges, label in ((pos_edges, 1.0), (neg_edges, 0.0)):
-        if edges.size == 0:
-            continue
-        scores = link_logits(embeddings, edges)
-        probs = sigmoid(scores)
-        total += float(-(
-            label * np.log(probs + 1e-12)
-            + (1 - label) * np.log(1 - probs + 1e-12)
-        ).sum())
-        count += edges.shape[0]
-        coeff = (probs - label)[:, None]
-        np.add.at(grad, edges[:, 0], coeff * embeddings[edges[:, 1]])
-        np.add.at(grad, edges[:, 1], coeff * embeddings[edges[:, 0]])
     return total / count, (grad / count).astype(np.float32)
 
 

@@ -17,14 +17,14 @@ strides metric evaluation (the last epoch is always evaluated); losses are
 unaffected because the eval forward has no side effects when the noise
 sigma is zero — with analog noise the eval forward advances the model's
 RNG stream, so per-epoch cadence is forced to keep runs reproducible.
-``train_reference`` retains the original evaluate-every-epoch loop as the
-equivalence oracle (``tests/gcn/test_trainer_fastpath.py``).
+:mod:`repro.oracles.gcn` keeps the original evaluate-every-epoch loops as
+the equivalence oracles (``tests/gcn/test_trainer_fastpath.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -144,7 +144,8 @@ class NodeClassificationTrainer:
         the loop one epoch at a time (the co-simulator) keep the ISU
         minor-refresh cadence.  ``eval_every`` strides metric evaluation
         (the final epoch is always evaluated); losses are recorded every
-        epoch regardless and match :meth:`train_reference` exactly.
+        epoch regardless and match the evaluate-every-epoch oracle
+        (:func:`repro.oracles.gcn.train_node_reference`) exactly.
         """
         _validate_schedule(epochs, start_epoch, eval_every)
         if self.model.analog_noise_sigma > 0:
@@ -200,50 +201,6 @@ class NodeClassificationTrainer:
                     graph, features, store=store, updated=_NO_UPDATES,
                     training=False,
                 )
-            result.eval_epochs.append(epoch)
-            result.train_metrics.append(
-                accuracy(eval_logits[self.train_idx], labels[self.train_idx])
-            )
-            result.test_metrics.append(
-                accuracy(eval_logits[self.test_idx], labels[self.test_idx])
-            )
-        return result
-
-    @profile.phase(profile.PHASE_TRAINING)
-    def train_reference(
-        self,
-        epochs: int = 60,
-        update_plan: Optional[UpdatePlan] = None,
-        start_epoch: int = 0,
-    ) -> TrainingResult:
-        """The original evaluate-every-epoch loop (equivalence oracle)."""
-        _validate_schedule(epochs, start_epoch, eval_every=1)
-        graph = self._graph
-        features = graph.features
-        labels = graph.labels
-        store = self._store
-        result = TrainingResult()
-        for epoch in range(start_epoch, start_epoch + epochs):
-            updated = (
-                None if update_plan is None
-                else update_plan.vertices_updated_at(epoch)
-            )
-            logits, cache = self.model.forward(
-                graph, features, store=store, updated=updated, training=True,
-            )
-            loss, grad_logits = cross_entropy_loss(
-                logits[self.train_idx], labels[self.train_idx],
-            )
-            grad_full = np.zeros_like(logits)
-            grad_full[self.train_idx] = grad_logits
-            grads = self.model.backward(graph, cache, grad_full)
-            self._optimizer.step(self.model.params, grads)
-
-            eval_logits, _ = self.model.forward(
-                graph, features, store=store,
-                updated=np.array([], dtype=np.int64), training=False,
-            )
-            result.losses.append(loss)
             result.eval_epochs.append(epoch)
             result.train_metrics.append(
                 accuracy(eval_logits[self.train_idx], labels[self.train_idx])
@@ -354,46 +311,6 @@ class LinkPredictionTrainer:
                     graph, features, store=store, updated=_NO_UPDATES,
                     training=False,
                 )
-            result.eval_epochs.append(epoch)
-            result.train_metrics.append(
-                link_accuracy(eval_emb, self.train_pos, neg)
-            )
-            result.test_metrics.append(
-                link_accuracy(eval_emb, self.test_pos, self.test_neg)
-            )
-        return result
-
-    @profile.phase(profile.PHASE_TRAINING)
-    def train_reference(
-        self,
-        epochs: int = 60,
-        update_plan: Optional[UpdatePlan] = None,
-        start_epoch: int = 0,
-    ) -> TrainingResult:
-        """The original evaluate-every-epoch loop (equivalence oracle)."""
-        _validate_schedule(epochs, start_epoch, eval_every=1)
-        graph = self._graph
-        features = graph.features
-        store = self._store
-        result = TrainingResult()
-        for epoch in range(start_epoch, start_epoch + epochs):
-            updated = (
-                None if update_plan is None
-                else update_plan.vertices_updated_at(epoch)
-            )
-            embeddings, cache = self.model.forward(
-                graph, features, store=store, updated=updated, training=True,
-            )
-            neg = self._sample_negatives(self.train_pos.shape[0])
-            loss, grad_emb = link_bce_loss(embeddings, self.train_pos, neg)
-            grads = self.model.backward(graph, cache, grad_emb)
-            self._optimizer.step(self.model.params, grads)
-
-            eval_emb, _ = self.model.forward(
-                graph, features, store=store,
-                updated=np.array([], dtype=np.int64), training=False,
-            )
-            result.losses.append(loss)
             result.eval_epochs.append(epoch)
             result.train_metrics.append(
                 link_accuracy(eval_emb, self.train_pos, neg)

@@ -410,15 +410,6 @@ class Graph:
         out[nonempty] = np.add.reduceat(gathered, starts, axis=0)
         return out
 
-    def adjacency_matmul_reference(self, matrix: np.ndarray) -> np.ndarray:
-        """Scatter-add (``np.add.at``) SpMM kept as the equivalence oracle."""
-        matrix = np.asarray(matrix, dtype=np.float32)
-        self._check_rows(matrix)
-        out = np.zeros_like(matrix)
-        src = np.repeat(np.arange(self.num_vertices), self._degrees)
-        np.add.at(out, src, matrix[self._indices])
-        return out
-
     def mean_adjacency_matmul(self, matrix: np.ndarray) -> np.ndarray:
         """Compute ``D^-1 A @ matrix`` (mean aggregation, GraphSAGE-style).
 

@@ -17,7 +17,6 @@ import numpy as np
 from repro.errors import GraphError
 from repro.graphs.generators import RandomState, _rng
 from repro.graphs.graph import Graph
-from repro.perf import kernels
 
 
 def top_degree_vertices(graph: Graph, theta: float) -> np.ndarray:
@@ -70,27 +69,13 @@ def sparsify_by_degree(graph: Graph, theta: float, mode: str = "both") -> Graph:
         raise GraphError(f"mode must be 'both' or 'either', got {mode!r}")
     important = np.zeros(graph.num_vertices, dtype=bool)
     important[top_degree_vertices(graph, theta)] = True
-    if kernels.fast_mode():
-        # Fast tier: filter the CSR arcs in place.  The keep mask is
-        # symmetric, so this produces the *identical* graph content as
-        # the edge-list rebuild below (ERROR_BUDGETS["sparsify"] is 0)
-        # while skipping its lexsort/dedup pass.
-        src = graph.arc_sources()
-        dst = graph.indices
-        if mode == "both":
-            keep = important[src] & important[dst]
-        else:
-            keep = important[src] | important[dst]
-        return graph.filter_arcs(keep, name=f"{graph.name}-deg-sparse")
-    edges = graph.edge_list()
-    if edges.size:
-        if mode == "both":
-            keep = important[edges[:, 0]] & important[edges[:, 1]]
-        else:
-            keep = important[edges[:, 0]] | important[edges[:, 1]]
-        edges = edges[keep]
-    return Graph.from_edges(
-        graph.num_vertices, edges,
-        features=graph.features, labels=graph.labels,
-        name=f"{graph.name}-deg-sparse",
-    )
+    # Filter the CSR arcs in place: the keep mask is symmetric, so this
+    # is the same graph an edge-list rebuild gives, without its
+    # lexsort/dedup pass.
+    src = graph.arc_sources()
+    dst = graph.indices
+    if mode == "both":
+        keep = important[src] & important[dst]
+    else:
+        keep = important[src] | important[dst]
+    return graph.filter_arcs(keep, name=f"{graph.name}-deg-sparse")

@@ -148,27 +148,6 @@ def wear_levelled_rates(
     return means[groups] + 1.0 / rotation_period_epochs
 
 
-def wear_levelled_rates_reference(
-    plan: UpdatePlan,
-    rotation_period_epochs: int = 100,
-) -> np.ndarray:
-    """Per-crossbar-mean loop form of :func:`wear_levelled_rates`.
-
-    Retained as the equivalence oracle; ``np.mean`` uses pairwise
-    summation while ``bincount`` sums sequentially, so agreement is
-    allclose-level rather than bit-level.
-    """
-    if rotation_period_epochs < 1:
-        raise ConfigError("rotation_period_epochs must be >= 1")
-    rates = rows_written_per_epoch(plan)
-    mapping = plan.mapping
-    levelled = np.empty_like(rates)
-    for crossbar in range(mapping.num_crossbars):
-        members = mapping.vertices_on(crossbar)
-        levelled[members] = rates[members].mean()
-    return levelled + 1.0 / rotation_period_epochs
-
-
 def estimate_lifetime_with_leveling(
     plan: UpdatePlan,
     scheme_name: str,

@@ -129,7 +129,8 @@ class MappedMatrix:
     def mvm_batch(self, matrix: np.ndarray) -> np.ndarray:
         """MVM for each input row, batched tile by tile.
 
-        Bit-identical to :meth:`mvm_batch_reference` (the retained per-row
+        Bit-identical to the oracle
+        :func:`~repro.oracles.hardware.mvm_batch_reference` (the per-row
         loop): row tiles whose input segment is all-zero are skipped for
         exactly the rows the scalar path skips them for (wordlines stay
         quiet — no activation counted, no noise drawn), partial sums
@@ -159,13 +160,6 @@ class MappedMatrix:
                 result = self._grid[r][c].mvm_batch(segment)
                 out[active, c * cols:c * cols + width] += result[:, :width]
         return out
-
-    def mvm_batch_reference(self, matrix: np.ndarray) -> np.ndarray:
-        """Per-row loop over :meth:`mvm` — the equivalence oracle."""
-        matrix = np.asarray(matrix, dtype=np.float32)
-        if matrix.ndim != 2:
-            raise MappingError("mvm_batch expects 2-D input")
-        return np.stack([self.mvm(row) for row in matrix])
 
     def read_rows(self, row_ids: np.ndarray) -> np.ndarray:
         """Noisy resident rows for a sequence of logical row ids.
@@ -340,76 +334,24 @@ kernels.register_strategy("segment_fold", "leftfold")(segment_leftfold_sum)
 kernels.register_strategy("segment_fold", "reduceat")(segment_reduceat_sum)
 
 
-def _arc_sources(graph: Graph, vertices: np.ndarray) -> tuple:
-    """CSR edge sources for a vertex subset, in per-vertex edge order.
-
-    Returns ``(sources, indptr)`` where ``sources`` concatenates each
-    requested vertex's neighbour list and ``indptr`` delimits them — the
-    sub-CSR the vectorized aggregation folds over.
-    """
-    starts = graph.indptr[vertices]
-    lengths = graph.indptr[vertices + 1] - starts
-    indptr = np.zeros(vertices.size + 1, dtype=np.int64)
-    np.cumsum(lengths, out=indptr[1:])
-    offsets = (
-        np.arange(indptr[-1], dtype=np.int64)
-        - np.repeat(indptr[:-1], lengths)
-    )
-    sources = graph.indices[np.repeat(starts, lengths) + offsets]
-    return sources, indptr
-
-
 def aggregate(
     graph: Graph,
     mapped_features: "MappedMatrix",
-    vertices: Optional[np.ndarray] = None,
+    resident: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Aggregation stage: edge-serial row-major execution, vectorized.
 
-    Bit-identical to :func:`aggregate_reference` (the retained per-edge
-    loop): one batched grid read covers every arc in the same edge order
+    Bit-identical to the oracle
+    :func:`~repro.oracles.hardware.aggregate_reference` (the per-edge
+    loop): one batched grid read covers every arc in the CSR edge order
     the loop fires its one-hot MVMs (so each crossbar's noise stream and
     event counters match exactly), and the gathered rows are summed per
-    vertex with the order-preserving left fold.  Returns the
-    *unnormalised* neighbour sums for ``vertices`` (default: all).
+    vertex with the order-preserving segment fold.  Each vertex's sum is
+    seeded with its ``resident`` row (the ``A + I`` self loop), or zero.
     """
     if mapped_features.shape[0] != graph.num_vertices:
         raise MappingError("mapped feature matrix does not cover the graph")
-    if vertices is None:
-        vertices = np.arange(graph.num_vertices)
-    vertices = np.asarray(vertices, dtype=np.int64)
-    sources, indptr = _arc_sources(graph, vertices)
-    rows = mapped_features.read_rows(sources)
-    initial = np.zeros(
-        (vertices.size, mapped_features.shape[1]), dtype=np.float32,
-    )
-    return segment_fold(indptr, rows, initial)
-
-
-def aggregate_reference(
-    graph: Graph,
-    mapped_features: "MappedMatrix",
-    vertices: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Per-edge one-hot MVM loop — the equivalence oracle.
-
-    For each output vertex, every neighbour's resident feature row is
-    activated with a unit input (one wordline fires per edge) and the
-    bitline currents accumulate — the hardware analogue of summing
-    neighbour features.
-    """
-    if mapped_features.shape[0] != graph.num_vertices:
-        raise MappingError("mapped feature matrix does not cover the graph")
-    if vertices is None:
-        vertices = np.arange(graph.num_vertices)
-    vertices = np.asarray(vertices, dtype=np.int64)
-    dim = mapped_features.shape[1]
-    out = np.zeros((vertices.size, dim), dtype=np.float32)
-    for i, v in enumerate(vertices):
-        acc = np.zeros(dim, dtype=np.float32)
-        for u in graph.neighbors(int(v)):
-            one_hot = np.zeros(mapped_features.shape[0], dtype=np.float32)
-            one_hot[u] = 1.0
-            acc += mapped_features.mvm(one_hot)
-        out[i] = acc
-    return out
+    if resident is None:
+        resident = np.zeros(mapped_features.shape, dtype=np.float32)
+    rows = mapped_features.read_rows(graph.indices)
+    return segment_fold(graph.indptr, rows, resident)

@@ -56,8 +56,6 @@ ERROR_BUDGETS: Dict[str, float] = {
     "link_bce": 1e-4,
     # float32 softmax cross-entropy vs the float64 per-replica reduce.
     "cross_entropy": 1e-4,
-    # CSR arc filtering vs the edge-list rebuild (identical content).
-    "sparsify": 0.0,
 }
 
 _mode: str = "exact"

@@ -10,7 +10,7 @@ subclasses.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -103,12 +103,12 @@ class MLPRegressor(Regressor):
         v_w = [np.zeros_like(w) for w in self._weights]
         m_b = [np.zeros_like(b) for b in self._biases]
         v_b = [np.zeros_like(b) for b in self._biases]
-        # Per-parameter scratch for the Adam update: the reference spends
-        # a surprising share of fit time allocating its ~10 temporaries
-        # per parameter per step.  Every in-place expression below applies
-        # the same IEEE ops in the same order as the reference, so the
-        # fitted weights are bit-identical
-        # (tests/predictor/test_mlp_fastpath.py).
+        # Per-parameter scratch for the Adam update: the oracle
+        # (repro.oracles.predictor.mlp_fit_reference) spends a surprising
+        # share of fit time allocating its ~10 temporaries per parameter
+        # per step.  Every in-place expression below applies the same
+        # IEEE ops in the same order as the oracle, so the fitted weights
+        # are bit-identical (tests/predictor/test_mlp_fastpath.py).
         scratch = [
             (np.empty_like(p), np.empty_like(p))
             for p in (*self._weights, *self._biases)
@@ -173,64 +173,6 @@ class MLPRegressor(Regressor):
                     np.divide(num, den, out=num)
                     np.multiply(num, self._lr, out=num)
                     np.subtract(param, num, out=param)
-            self.loss_history.append(epoch_loss / n)
-
-    def _fit_reference(self, x: np.ndarray, y: np.ndarray) -> None:
-        """The original allocation-heavy training loop (equivalence
-        oracle for :meth:`_fit`; identical RNG stream and update maths)."""
-        rng = np.random.default_rng(self._seed)
-        self._y_mean = float(y.mean())
-        self._y_std = float(y.std()) or 1.0
-        targets = (y - self._y_mean) / self._y_std
-
-        dims = [x.shape[1], *self._hidden, 1]
-        self._init_params(dims, rng)
-        m_w = [np.zeros_like(w) for w in self._weights]
-        v_w = [np.zeros_like(w) for w in self._weights]
-        m_b = [np.zeros_like(b) for b in self._biases]
-        v_b = [np.zeros_like(b) for b in self._biases]
-        beta1, beta2, eps = 0.9, 0.999, 1e-8
-        step = 0
-        self.loss_history = []
-
-        n = x.shape[0]
-        for _ in range(self._epochs):
-            order = rng.permutation(n)
-            epoch_loss = 0.0
-            for start in range(0, n, self._batch_size):
-                batch = order[start:start + self._batch_size]
-                xb, yb = x[batch], targets[batch]
-                pred, acts = self._forward(xb)
-                err = pred.ravel() - yb
-                epoch_loss += float((err ** 2).sum())
-
-                # Backprop through the MSE head.
-                grad = (2.0 / xb.shape[0]) * err[:, None]
-                grads_w: List[np.ndarray] = [None] * len(self._weights)
-                grads_b: List[np.ndarray] = [None] * len(self._biases)
-                for layer in range(len(self._weights) - 1, -1, -1):
-                    grads_w[layer] = acts[layer].T @ grad + self._decay * self._weights[layer]
-                    grads_b[layer] = grad.sum(axis=0)
-                    if layer > 0:
-                        grad = grad @ self._weights[layer].T
-                        grad = grad * (acts[layer] > 0)
-
-                step += 1
-                correction1 = 1 - beta1 ** step
-                correction2 = 1 - beta2 ** step
-                for layer in range(len(self._weights)):
-                    m_w[layer] = beta1 * m_w[layer] + (1 - beta1) * grads_w[layer]
-                    v_w[layer] = beta2 * v_w[layer] + (1 - beta2) * grads_w[layer] ** 2
-                    m_b[layer] = beta1 * m_b[layer] + (1 - beta1) * grads_b[layer]
-                    v_b[layer] = beta2 * v_b[layer] + (1 - beta2) * grads_b[layer] ** 2
-                    self._weights[layer] -= self._lr * (
-                        (m_w[layer] / correction1)
-                        / (np.sqrt(v_w[layer] / correction2) + eps)
-                    )
-                    self._biases[layer] -= self._lr * (
-                        (m_b[layer] / correction1)
-                        / (np.sqrt(v_b[layer] / correction2) + eps)
-                    )
             self.loss_history.append(epoch_loss / n)
 
     def _predict(self, x: np.ndarray) -> np.ndarray:

@@ -374,8 +374,8 @@ class StageTimingModel:
         Unlike :meth:`write_times_ns`, which averages minor-refresh and
         important-only rounds by the minor period, this prices every
         micro-batch for a specific phase — what the co-simulation charges
-        epoch by epoch.  Matches ``CoSimulation._epoch_write_ns`` applied
-        per micro-batch.
+        epoch by epoch.  Matches the oracle
+        :func:`repro.oracles.core.epoch_write_ns` applied per micro-batch.
         """
         cfg = self._config
         num_mbs = self._workload.num_microbatches

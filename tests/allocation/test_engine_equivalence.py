@@ -16,11 +16,9 @@ import pytest
 import repro.allocation.engine as engine_module
 from repro.allocation.batched import allocate_many
 from repro.allocation.engine import greedy_allocation_counts
-from repro.allocation.greedy import (
-    greedy_allocation,
-    greedy_allocation_reference,
-)
+from repro.allocation.greedy import greedy_allocation
 from repro.allocation.problem import AllocationProblem
+from repro.oracles.allocation import greedy_allocation_reference
 
 
 def make_problem(
@@ -116,15 +114,6 @@ def test_public_greedy_matches_reference_cold_and_warm():
     warm = greedy_allocation(problem)  # may or may not hit the cache
     assert reference.replicas.tobytes() == cold.replicas.tobytes()
     assert reference.replicas.tobytes() == warm.replicas.tobytes()
-
-
-def test_heap_cls_argument_still_runs_the_reference():
-    from repro.allocation.heap import IndexedMaxHeap
-
-    problem = make_problem(9, 120, seed=2)
-    via_kwarg = greedy_allocation(problem, heap_cls=IndexedMaxHeap)
-    reference = greedy_allocation_reference(problem)
-    assert via_kwarg.replicas.tobytes() == reference.replicas.tobytes()
 
 
 def test_unaffordable_tail_matches():

@@ -12,11 +12,9 @@ every vector, so the winning allocation is identical.
 import numpy as np
 import pytest
 
-from repro.allocation.baselines import (
-    exhaustive_allocation,
-    exhaustive_allocation_reference,
-)
+from repro.allocation.baselines import exhaustive_allocation
 from repro.allocation.problem import AllocationProblem
+from repro.oracles.allocation import exhaustive_allocation_reference
 
 
 def _random_problem(rng: np.random.Generator, n=None) -> AllocationProblem:

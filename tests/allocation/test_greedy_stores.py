@@ -1,22 +1,26 @@
-"""FlatMaxKeys vs IndexedMaxHeap: decision-identical priority stores.
+"""LazyMaxKeys vs IndexedMaxHeap: the engine's store against the oracle's.
 
-Algorithm 1 only ever asks its heaps three questions — ``top()``,
-``key_of`` and ``max_excluding`` — all of which are functions of the
-current key assignment under the strict total order
-``(key, -insertion_order)``.  Any store answering those queries under the
-same order therefore drives the greedy through the identical decision
-sequence.  These tests pin that equivalence down both at the store level
-(random operation sequences with forced ties) and end-to-end (byte-equal
-allocations on random problems).
+The run-skipping engine keeps Algorithm 1's longest-stage heap as a lazy
+``heapq`` (:class:`~repro.allocation.heap.LazyMaxKeys`); the
+one-purchase-per-iteration oracle keeps it as the paper's indexed heap.
+Both must answer ``top`` and the runner-up query under the same strict
+total order ``(key, -insertion_order)`` for every key assignment the
+engine can reach (keys only ever decrease), or the two walks diverge.
+These tests pin that down at the store level (random decrease sequences
+with forced ties) and end to end (byte-equal allocations on random
+problems with duplicated stage times).
 """
 
 import numpy as np
 import pytest
 
-from repro.allocation.greedy import greedy_allocation_reference
-from repro.allocation.heap import FlatMaxKeys, IndexedMaxHeap
+from repro.allocation.greedy import greedy_allocation
+from repro.allocation.heap import LazyMaxKeys
 from repro.allocation.problem import AllocationProblem
-from repro.errors import AllocationError
+from repro.oracles.allocation import (
+    IndexedMaxHeap,
+    greedy_allocation_reference,
+)
 
 
 def _random_problem(rng: np.random.Generator) -> AllocationProblem:
@@ -44,16 +48,14 @@ def test_greedy_identical_across_stores(include_max_bonus):
     rng = np.random.default_rng(7)
     for _ in range(40):
         problem = _random_problem(rng)
-        flat = greedy_allocation_reference(
-            problem, include_max_bonus=include_max_bonus,
-            heap_cls=FlatMaxKeys,
+        engine = greedy_allocation(
+            problem, include_max_bonus=include_max_bonus, memoize=False,
         )
-        heap = greedy_allocation_reference(
+        oracle = greedy_allocation_reference(
             problem, include_max_bonus=include_max_bonus,
-            heap_cls=IndexedMaxHeap,
         )
-        np.testing.assert_array_equal(flat.replicas, heap.replicas)
-        assert flat.makespan_ns == heap.makespan_ns
+        np.testing.assert_array_equal(engine.replicas, oracle.replicas)
+        assert engine.makespan_ns == oracle.makespan_ns
 
 
 def test_stores_agree_on_random_query_sequences():
@@ -62,66 +64,35 @@ def test_stores_agree_on_random_query_sequences():
         n = int(rng.integers(1, 16))
         # Draw keys from a tiny set so ties are the rule, not the
         # exception.
-        keys = rng.choice([0.0, 1.0, 2.5, 2.5, 7.0], size=n)
-        flat = FlatMaxKeys()
+        keys = rng.choice([1.0, 2.5, 2.5, 7.0, 9.0], size=n)
+        lazy = LazyMaxKeys(keys.tolist())
         heap = IndexedMaxHeap()
-        for item, key in enumerate(keys):
-            flat.push(float(key), item)
-            heap.push(float(key), item)
+        for stage, key in enumerate(keys):
+            heap.push(float(key), stage)
         for _ in range(60):
-            op = rng.integers(0, 3)
-            item = int(rng.integers(0, n))
-            if op == 0:
-                new_key = float(rng.choice([0.0, 1.0, 2.5, 7.0]))
-                flat.update(item, new_key)
-                heap.update(item, new_key)
-            elif op == 1:
-                assert flat.top() == heap.top()
-            else:
-                assert flat.max_excluding(item) == heap.max_excluding(item)
-            assert flat.key_of(item) == heap.key_of(item)
-        assert len(flat) == len(heap) == n
+            stage = int(rng.integers(0, n))
+            if rng.random() < 0.5:
+                lowered = heap.key_of(stage) - float(rng.choice([0.0, 1.5]))
+                lazy.update(stage, lowered)
+                heap.update(stage, lowered)
+            _, top_stage = heap.top()
+            assert lazy.top() == top_stage
+            top, second_key, second_stage = lazy.top_and_second()
+            assert top == top_stage
+            assert second_key == heap.max_excluding(top_stage)
+            if second_stage >= 0:
+                assert lazy.key_of(second_stage) == second_key
+            assert lazy.key_of(stage) == heap.key_of(stage)
 
 
-def test_flat_store_contract():
-    store = FlatMaxKeys([(3.0, "a"), (5.0, "b")])
-    assert store.top() == (5.0, "b")
-    assert "a" in store and "c" not in store
-    assert store.max_excluding("b") == 3.0
-    assert store.max_excluding("b", default=4.0) == 4.0
-    store.update("b", -1.0)
-    assert store.top() == (3.0, "a")
-    only = FlatMaxKeys([(2.0, "x")])
-    assert only.max_excluding("x", default=9.0) == 9.0
-    with pytest.raises(AllocationError):
-        store.push(1.0, "a")
-    with pytest.raises(AllocationError):
-        store.key_of("missing")
-    with pytest.raises(AllocationError):
-        store.update("missing", 1.0)
-    with pytest.raises(AllocationError):
-        store.max_excluding("missing")
-    with pytest.raises(AllocationError):
-        FlatMaxKeys().top()
-
-
-def test_flat_store_ties_break_by_insertion_order():
-    flat = FlatMaxKeys()
-    heap = IndexedMaxHeap()
-    for item in range(6):
-        flat.push(1.0, item)
-        heap.push(1.0, item)
-    assert flat.top() == heap.top() == (1.0, 0)
-    flat.update(0, 0.0)
+def test_lazy_store_ties_break_by_smallest_stage():
+    lazy = LazyMaxKeys([1.0] * 6)
+    heap = IndexedMaxHeap([(1.0, stage) for stage in range(6)])
+    assert lazy.top() == heap.top()[1] == 0
+    lazy.update(0, 0.0)
     heap.update(0, 0.0)
-    assert flat.top() == heap.top() == (1.0, 1)
-    assert flat.max_excluding(1) == heap.max_excluding(1) == 1.0
-
-
-def test_flat_store_growth_past_initial_capacity():
-    store = FlatMaxKeys()
-    for item in range(100):  # initial capacity is 8; force reallocations
-        store.push(float(item), item)
-    assert len(store) == 100
-    assert store.top() == (99.0, 99)
-    assert store.key_of(0) == 0.0
+    assert lazy.top() == heap.top()[1] == 1
+    assert lazy.top_and_second() == (1, 1.0, 2)
+    assert heap.max_excluding(1) == 1.0
+    only = LazyMaxKeys([3.0])
+    assert only.top_and_second(default=5.0) == (0, 5.0, -1)

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.allocation.heap import IndexedMaxHeap
 from repro.errors import AllocationError
+from repro.oracles.allocation import IndexedMaxHeap
 
 
 def test_push_top_pop_order():

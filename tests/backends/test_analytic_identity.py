@@ -1,9 +1,10 @@
 """The analytic backend is a boundary move: byte-identity to the old code.
 
 Every analytic-backend method must reproduce the pre-refactor
-implementation bit for bit — the retained ``*_reference`` functions are
-the oracles.  If one of these tests breaks, the refactor changed
-results, not just structure, and the stored golden hashes are invalid.
+implementation bit for bit — the ``*_reference`` functions in
+``repro.oracles`` are the oracles.  If one of these tests breaks, the
+refactor changed results, not just structure, and the stored golden
+hashes are invalid.
 """
 
 from __future__ import annotations
@@ -13,12 +14,11 @@ import pytest
 
 from repro.accelerators.catalog import gopim
 from repro.backends import EpochProgram, get_backend
-from repro.core.cosim import CoSimulation
+from repro.oracles.core import epoch_times_reference
+from repro.oracles.predictor import profile_stage_times_reference
+from repro.oracles.serving import batch_times_ns_reference
 from repro.pipeline.simulator import ScheduleMode
-from repro.predictor.profiler import (
-    profile_stage_times,
-    profile_stage_times_reference,
-)
+from repro.predictor.profiler import profile_stage_times
 from repro.stages.latency import StageTimingModel
 
 ANALYTIC = get_backend("analytic")
@@ -53,7 +53,7 @@ def test_pinned_phase_matrix_matches_cosim_reference(timing, full_round):
         ANALYTIC.stage_time_matrix(EpochProgram(
             timing=timing, replicas=replicas, full_round=full_round,
         )),
-        CoSimulation._epoch_times_reference(timing, replicas, full_round),
+        epoch_times_reference(timing, replicas, full_round),
     )
 
 
@@ -62,7 +62,7 @@ def test_service_times_match_serving_reference(serving_system):
     edges = np.array([5, 50, 400, 1500, 6000], dtype=np.int64)
     np.testing.assert_array_equal(
         ANALYTIC.service_times_ns(serving_system, sizes, edges),
-        serving_system.batch_times_ns_reference(sizes, edges),
+        batch_times_ns_reference(serving_system, sizes, edges),
     )
 
 
@@ -71,7 +71,7 @@ def test_ambient_batch_times_default_to_analytic(serving_system):
     edges = np.array([100, 800], dtype=np.int64)
     np.testing.assert_array_equal(
         serving_system.batch_times_ns(sizes, edges),
-        serving_system.batch_times_ns_reference(sizes, edges),
+        batch_times_ns_reference(serving_system, sizes, edges),
     )
 
 

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.accelerators import gopim, gopim_vanilla, serial
+from repro.backends import EpochProgram, get_backend
 from repro.core import CoSimResult, CoSimulation
 from repro.errors import TrainingError
+from repro.oracles.core import epoch_times_reference
 from repro.runtime import default_session
 
 
@@ -83,9 +85,10 @@ def test_epochs_validation(arxiv_graph, config):
 def test_epoch_tables_match_scalar_reference(
     arxiv_graph, config, make_accelerator,
 ):
-    # The vectorized whole-epoch timing tables must reproduce the
-    # retained per-micro-batch scalar loop exactly, for both epoch
-    # phases (minor refresh and important-only rounds).
+    # The whole-epoch timing tables the co-simulation charges (the
+    # analytic backend with the write phase pinned) must reproduce the
+    # per-micro-batch scalar oracle exactly, for both epoch phases
+    # (minor refresh and important-only rounds).
     from repro.stages.workload import workload_from_dataset
 
     accelerator = make_accelerator()
@@ -95,8 +98,10 @@ def test_epoch_tables_match_scalar_reference(
     problem = accelerator._build_problem(timing, cosim._config)
     replicas = accelerator.allocator(problem).replicas
     for full_round in (True, False):
-        vectorized = CoSimulation._epoch_times(timing, replicas, full_round)
-        reference = CoSimulation._epoch_times_reference(
-            timing, replicas, full_round,
+        vectorized = get_backend("analytic").stage_time_matrix(
+            EpochProgram(
+                timing=timing, replicas=replicas, full_round=full_round,
+            )
         )
+        reference = epoch_times_reference(timing, replicas, full_round)
         assert np.array_equal(vectorized, reference)

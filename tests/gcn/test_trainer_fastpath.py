@@ -18,6 +18,7 @@ from repro.errors import TrainingError
 from repro.gcn.trainer import LinkPredictionTrainer, NodeClassificationTrainer
 from repro.graphs.generators import dc_sbm_graph
 from repro.mapping.selective import build_update_plan
+from repro.oracles.gcn import train_link_reference, train_node_reference
 
 
 @pytest.fixture(scope="module")
@@ -44,13 +45,19 @@ def _link(graph, **kwargs):
     )
 
 
+def _train_reference(trainer, **kwargs):
+    if isinstance(trainer, NodeClassificationTrainer):
+        return train_node_reference(trainer, **kwargs)
+    return train_link_reference(trainer, **kwargs)
+
+
 def _assert_strided_matches_reference(make_trainer, epochs, eval_every,
                                       update_plan=None):
     fast = make_trainer().train(
         epochs=epochs, eval_every=eval_every, update_plan=update_plan,
     )
-    ref = make_trainer().train_reference(
-        epochs=epochs, update_plan=update_plan,
+    ref = _train_reference(
+        make_trainer(), epochs=epochs, update_plan=update_plan,
     )
     assert fast.losses == ref.losses  # exact: same training computation
     expected_epochs = sorted(
@@ -113,8 +120,8 @@ def test_start_epoch_keeps_plan_phase(graph, plan):
     fast = _node(graph).train(
         epochs=7, start_epoch=3, eval_every=2, update_plan=plan,
     )
-    ref = _node(graph).train_reference(
-        epochs=7, start_epoch=3, update_plan=plan,
+    ref = train_node_reference(
+        _node(graph), epochs=7, start_epoch=3, update_plan=plan,
     )
     assert fast.losses == ref.losses
     for position, epoch in enumerate(fast.eval_epochs):

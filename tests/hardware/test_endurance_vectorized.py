@@ -15,10 +15,10 @@ from repro.hardware.endurance import (
     estimate_lifetime,
     estimate_lifetime_with_leveling,
     wear_levelled_rates,
-    wear_levelled_rates_reference,
 )
 from repro.graphs.generators import dc_sbm_graph
 from repro.mapping.selective import build_update_plan
+from repro.oracles.hardware import wear_levelled_rates_reference
 
 
 @pytest.mark.parametrize("strategy,theta,rows", [

@@ -110,14 +110,14 @@ def test_aggregate_edge_serial_cost():
     assert activations == graph.num_arcs
 
 
-def test_aggregate_subset_of_vertices():
+def test_aggregate_seeds_with_resident_rows():
+    # A resident seed adds the A + I self loop: (A + I) @ features.
     graph = dc_sbm_graph(48, 2, 4.0, random_state=0)
     rng = np.random.default_rng(4)
     features = rng.normal(size=(48, 8)).astype(np.float32)
     mapped = MappedMatrix(features)
-    subset = np.array([0, 5, 11])
-    out = aggregate(graph, mapped, vertices=subset)
-    reference = graph.adjacency_matmul(features)[subset]
+    out = aggregate(graph, mapped, resident=features)
+    reference = graph.adjacency_matmul(features) + features
     np.testing.assert_allclose(out, reference, rtol=1e-3, atol=1e-3)
 
 

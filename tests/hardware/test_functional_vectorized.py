@@ -1,11 +1,11 @@
 """Bit-for-bit equivalence of the vectorized functional hardware paths.
 
-The perf PR rebuilt ``Crossbar.mvm_batch`` / ``MappedMatrix.mvm_batch``,
-added batched row reads, and replaced the per-edge one-hot aggregation
-with a CSR-segment gather — all promising *exact* equality with the
-retained ``*_reference`` loops: same outputs, same seeded noise stream
-consumption, same ``CrossbarStats`` counters.  These tests pin that
-contract on seeded small problems, noise and quantisation on and off.
+``Crossbar.mvm_batch`` / ``MappedMatrix.mvm_batch``, the batched row
+reads and the CSR-segment aggregation gather all promise *exact*
+equality with the per-row / per-edge loops in ``repro.oracles.hardware``:
+same outputs, same seeded noise stream consumption, same
+``CrossbarStats`` counters.  These tests pin that contract on seeded
+small problems, noise and quantisation on and off.
 """
 
 from __future__ import annotations
@@ -13,16 +13,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.hardware.functional_gcn as functional_module
 from repro.errors import MappingError
 from repro.gcn.model import GCN
 from repro.graphs.generators import dc_sbm_graph
-from repro.hardware.engine import (
-    MappedMatrix,
-    aggregate,
-    aggregate_reference,
-    segment_leftfold_sum,
-)
+from repro.graphs.graph import Graph
+from repro.hardware.engine import MappedMatrix, aggregate, segment_leftfold_sum
 from repro.hardware.functional_gcn import FunctionalGCN
+from repro.oracles.hardware import aggregate_reference, mvm_batch_reference
 
 
 def _stats_tuple(stats):
@@ -50,7 +48,7 @@ class TestMvmBatchEquivalence:
         ref = MappedMatrix(matrix, quantize=quantize,
                            read_noise_sigma=sigma, random_state=9)
         out_vec = vec.mvm_batch(inputs)
-        out_ref = ref.mvm_batch_reference(inputs)
+        out_ref = mvm_batch_reference(ref, inputs)
         assert np.array_equal(out_vec, out_ref)
         assert _stats_tuple(vec.stats()) == _stats_tuple(ref.stats())
 
@@ -65,10 +63,10 @@ class TestMvmBatchEquivalence:
         ref = MappedMatrix(matrix, quantize=quantize,
                            read_noise_sigma=sigma, random_state=2)
         vec.mvm_batch(inputs)
-        ref.mvm_batch_reference(inputs)
+        mvm_batch_reference(ref, inputs)
         assert np.array_equal(
             vec.mvm_batch(inputs * 2.0),
-            ref.mvm_batch_reference(inputs * 2.0),
+            mvm_batch_reference(ref, inputs * 2.0),
         )
 
 
@@ -142,23 +140,25 @@ class TestAggregateEquivalence:
         )
         assert _stats_tuple(vec.stats()) == _stats_tuple(ref.stats())
 
-    def test_vertex_subset_with_duplicates_and_isolated(self):
-        graph = _graph()
-        degrees = graph.degrees
-        isolated = int(np.argmin(degrees))  # lowest-degree vertex
-        subset = np.array(
-            [5, isolated, 0, graph.num_vertices - 1, 5], dtype=np.int64,
+    def test_resident_seed_with_isolated_vertex(self):
+        # The resident rows seed every sum (the A + I self loop); an
+        # isolated vertex's output is its seed row alone.
+        base = _graph()
+        isolated = base.num_vertices
+        graph = Graph.from_edges(
+            isolated + 1, base.edge_list(), name="vec-equiv-isolated",
         )
         rng = np.random.default_rng(5)
         features = rng.standard_normal(
             (graph.num_vertices, 9)
         ).astype(np.float32)
+        resident = rng.standard_normal(features.shape).astype(np.float32)
         vec = MappedMatrix(features, read_noise_sigma=0.02, random_state=8)
         ref = MappedMatrix(features, read_noise_sigma=0.02, random_state=8)
-        got = aggregate(graph, vec, subset)
-        expected = aggregate_reference(graph, ref, subset)
-        assert got.shape == (subset.size, 9)
+        got = aggregate(graph, vec, resident)
+        expected = aggregate_reference(graph, ref, resident)
         assert np.array_equal(got, expected)
+        assert np.array_equal(got[isolated], resident[isolated])
         assert _stats_tuple(vec.stats()) == _stats_tuple(ref.stats())
 
 
@@ -166,7 +166,7 @@ class TestFunctionalForwardEquivalence:
     @pytest.mark.parametrize("quantize,sigma", [
         (False, 0.0), (True, 0.0), (False, 0.05), (True, 0.05),
     ])
-    def test_forward_bit_identical(self, quantize, sigma):
+    def test_forward_bit_identical(self, quantize, sigma, monkeypatch):
         graph = _graph(n=90, seed=7)
         rng = np.random.default_rng(6)
         features = rng.standard_normal(
@@ -174,12 +174,13 @@ class TestFunctionalForwardEquivalence:
         ).astype(np.float32)
         model = GCN([(12, 10), (10, 6)], random_state=1)
         vec = FunctionalGCN(model, quantize=quantize,
-                            read_noise_sigma=sigma, random_state=13,
-                            vectorized=True)
+                            read_noise_sigma=sigma, random_state=13)
         ref = FunctionalGCN(model, quantize=quantize,
-                            read_noise_sigma=sigma, random_state=13,
-                            vectorized=False)
+                            read_noise_sigma=sigma, random_state=13)
         out_vec = vec.forward(graph, features)
+        monkeypatch.setattr(
+            functional_module, "aggregate", aggregate_reference,
+        )
         out_ref = ref.forward(graph, features)
         assert np.array_equal(out_vec, out_ref)
         assert _stats_tuple(vec.stats()) == _stats_tuple(ref.stats())

@@ -19,9 +19,11 @@ from repro.experiments.harness import (
 from repro.gcn.batched import ReplicaSpec, train_replicas
 from repro.gcn.losses import EdgeScatter
 from repro.graphs.generators import dc_sbm_graph
+from repro.graphs.graph import Graph
 from repro.graphs.sparsify import sparsify_by_degree
 from repro.hardware.engine import segment_leftfold_sum, segment_reduceat_sum
 from repro.mapping.selective import build_update_plan
+from repro.oracles.graphs import sparsify_by_degree_reference
 from repro.perf import kernels
 from repro.perf.cache import ArtifactCache
 from repro.perf.kernels import ERROR_BUDGETS, KernelTuner, numerics
@@ -115,12 +117,24 @@ class TestKernelBudgets:
 
     @pytest.mark.parametrize("mode", ["both", "either"])
     def test_sparsify_fast_is_byte_identical(self, graph, mode):
-        exact = sparsify_by_degree(graph, theta=0.25, mode=mode)
-        with numerics("fast"):
-            fast = sparsify_by_degree(graph, theta=0.25, mode=mode)
-        assert ERROR_BUDGETS["sparsify"] == 0.0
-        np.testing.assert_array_equal(fast.indptr, exact.indptr)
-        np.testing.assert_array_equal(fast.indices, exact.indices)
+        # CSR arc filtering is the only path in both tiers; it must build
+        # exactly the graph the edge-list rebuild oracle builds.
+        edgeless = Graph.from_edges(
+            40, np.empty((0, 2), dtype=np.int64), name="edgeless",
+        )
+        assert "sparsify" not in ERROR_BUDGETS
+        for source in (graph, edgeless):
+            for theta in (0.0, 0.25, 1.0):
+                oracle = sparsify_by_degree_reference(source, theta, mode)
+                exact = sparsify_by_degree(source, theta, mode)
+                with numerics("fast"):
+                    fast = sparsify_by_degree(source, theta, mode)
+                for got in (exact, fast):
+                    assert (
+                        got.content_fingerprint()
+                        == oracle.content_fingerprint()
+                    )
+                    assert got.name == oracle.name
 
 
 # ----------------------------------------------------------------------

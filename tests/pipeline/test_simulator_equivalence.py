@@ -13,11 +13,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.pipeline.simulator import (
-    ScheduleMode,
-    simulate_pipeline,
-    simulate_pipeline_reference,
-)
+from repro.oracles.pipeline import simulate_pipeline_reference
+from repro.pipeline.simulator import ScheduleMode, simulate_pipeline
 
 
 def _assert_equivalent(times, mode, batch):

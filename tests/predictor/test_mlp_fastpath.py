@@ -2,7 +2,8 @@
 
 ``_fit`` draws every epoch's shuffle as one ``(epochs, n)`` permutation
 matrix up front and runs the Adam update in preallocated scratch with the
-same IEEE operations in the same order as ``_fit_reference`` (``g * g``
+same IEEE operations in the same order as the oracle
+``repro.oracles.predictor.mlp_fit_reference`` (``g * g``
 standing in, bitwise-equally, for ``g ** 2``).  Weights, biases and the
 loss history must therefore match *bit for bit*, not just approximately.
 
@@ -14,6 +15,7 @@ equal data restores identical state without recomputation.
 import numpy as np
 import pytest
 
+from repro.oracles.predictor import mlp_fit_reference
 from repro.perf import get_cache
 from repro.predictor.mlp import MLPRegressor
 from repro.predictor.regressors import RidgeRegressor
@@ -37,7 +39,7 @@ def test_fit_bit_identical_to_reference(hidden, epochs):
     fast = MLPRegressor(hidden_layers=hidden, epochs=epochs, random_state=7)
     ref = MLPRegressor(hidden_layers=hidden, epochs=epochs, random_state=7)
     fast._fit(xn, y)
-    ref._fit_reference(xn, y)
+    mlp_fit_reference(ref, xn, y)
     assert len(fast._weights) == len(ref._weights)
     for w_fast, w_ref in zip(fast._weights, ref._weights):
         np.testing.assert_array_equal(w_fast, w_ref)
@@ -54,7 +56,7 @@ def test_fit_bit_identical_with_partial_final_batch():
     fast = MLPRegressor(epochs=15, batch_size=64, random_state=2)
     ref = MLPRegressor(epochs=15, batch_size=64, random_state=2)
     fast._fit(xn, y)
-    ref._fit_reference(xn, y)
+    mlp_fit_reference(ref, xn, y)
     for w_fast, w_ref in zip(fast._weights, ref._weights):
         np.testing.assert_array_equal(w_fast, w_ref)
     assert fast.loss_history == ref.loss_history

@@ -8,14 +8,11 @@ comparison is exact equality of every array — no tolerances anywhere.
 import numpy as np
 import pytest
 
+import repro.serving.service as service_module
 from repro.errors import ExperimentError
+from repro.oracles.serving import simulate_serving_reference
 from repro.runtime import RunSpec, Session
-from repro.serving import (
-    ServingSpec,
-    run_serving,
-    simulate_serving,
-    simulate_serving_reference,
-)
+from repro.serving import ServingSpec, run_serving, simulate_serving
 
 
 def identical(a, b):
@@ -93,8 +90,9 @@ def session():
 
 @pytest.mark.parametrize("process", ["poisson", "mmpp"])
 @pytest.mark.parametrize("balancer", ["rr", "jsq"])
-def test_end_to_end_byte_identical(session, process, balancer):
-    # The acceptance gate: full run_serving path, both arrival processes.
+def test_end_to_end_byte_identical(session, process, balancer, monkeypatch):
+    # The acceptance gate: full run_serving path, both arrival processes,
+    # once on the engine and once with the oracle swapped in.
     spec = ServingSpec(
         dataset="ddi",
         num_requests=8_000,
@@ -102,7 +100,10 @@ def test_end_to_end_byte_identical(session, process, balancer):
         load=0.9,
         balancer=balancer,
     )
-    fast = run_serving(session, spec, engine="fast")
-    ref = run_serving(session, spec, engine="reference")
+    fast = run_serving(session, spec)
+    monkeypatch.setattr(
+        service_module, "simulate_serving", simulate_serving_reference,
+    )
+    ref = run_serving(session, spec)
     identical(fast.timeline, ref.timeline)
     assert fast.stats == ref.stats

@@ -13,10 +13,8 @@ import pytest
 
 from repro.graphs.generators import dc_sbm_graph
 from repro.mapping.selective import build_update_plan
-from repro.predictor.profiler import (
-    profile_stage_times,
-    profile_stage_times_reference,
-)
+from repro.oracles.predictor import profile_stage_times_reference
+from repro.predictor.profiler import profile_stage_times
 from repro.stages.latency import StageTimingModel, TimingParams
 from repro.stages.workload import Workload
 
