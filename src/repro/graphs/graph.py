@@ -122,7 +122,9 @@ class Graph:
         """
         if num_vertices < 0:
             raise GraphError("num_vertices must be non-negative")
-        edge_array = np.asarray(list(edges), dtype=np.int64)
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)
+        edge_array = np.asarray(edges, dtype=np.int64)
         if edge_array.size == 0:
             edge_array = edge_array.reshape(0, 2)
         if edge_array.ndim != 2 or edge_array.shape[1] != 2:
@@ -139,15 +141,16 @@ class Graph:
         if undirected:
             src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
         if dedup and src.size:
-            packed = src * np.int64(num_vertices) + dst
-            packed = np.unique(packed)
+            # Sorted unique packed keys are already (src, dst)-ordered,
+            # so no lexsort follows.
+            packed = kernels.sorted_unique(src * np.int64(num_vertices) + dst)
             src = packed // num_vertices
             dst = packed % num_vertices
-
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
+        else:
+            order = np.lexsort((dst, src))
+            src, dst = src[order], dst[order]
         indptr = np.zeros(num_vertices + 1, dtype=np.int64)
-        np.add.at(indptr, src + 1, 1)
+        indptr[1:] = np.bincount(src, minlength=num_vertices)
         indptr = np.cumsum(indptr)
         return cls(indptr, dst, features=features, labels=labels, name=name)
 

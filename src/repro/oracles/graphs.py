@@ -1,9 +1,13 @@
 """Graph-layer oracles: the scatter-add SpMM behind
-``Graph.adjacency_matmul`` and the edge-list rebuild behind
-``sparsify_by_degree``'s CSR arc filtering.
+``Graph.adjacency_matmul``, the edge-list rebuild behind
+``sparsify_by_degree``'s CSR arc filtering, and the
+``np.unique``/``lexsort``/``np.add.at`` CSR build behind
+``Graph.from_edges``.
 """
 
 from __future__ import annotations
+
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -42,3 +46,47 @@ def sparsify_by_degree_reference(
         features=graph.features, labels=graph.labels,
         name=f"{graph.name}-deg-sparse",
     )
+
+
+def from_edges_reference(
+    num_vertices: int,
+    edges: Iterable[Tuple[int, int]],
+    features: Optional[np.ndarray] = None,
+    labels: Optional[np.ndarray] = None,
+    name: str = "graph",
+    undirected: bool = True,
+    dedup: bool = True,
+) -> Graph:
+    """The original ``Graph.from_edges``: list round trip, hash-based
+    ``np.unique`` dedupe, unconditional ``lexsort``, ``np.add.at`` row
+    counts."""
+    if num_vertices < 0:
+        raise GraphError("num_vertices must be non-negative")
+    edge_array = np.asarray(list(edges), dtype=np.int64)
+    if edge_array.size == 0:
+        edge_array = edge_array.reshape(0, 2)
+    if edge_array.ndim != 2 or edge_array.shape[1] != 2:
+        raise GraphError("edges must be (u, v) pairs")
+    if edge_array.size and (
+        edge_array.min() < 0 or edge_array.max() >= num_vertices
+    ):
+        raise GraphError("edge endpoints out of range")
+
+    src = edge_array[:, 0]
+    dst = edge_array[:, 1]
+    keep = src != dst
+    src, dst = src[keep], dst[keep]
+    if undirected:
+        src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+    if dedup and src.size:
+        packed = src * np.int64(num_vertices) + dst
+        packed = np.unique(packed)
+        src = packed // num_vertices
+        dst = packed % num_vertices
+
+    order = np.lexsort((dst, src))
+    src, dst = src[order], dst[order]
+    indptr = np.zeros(num_vertices + 1, dtype=np.int64)
+    np.add.at(indptr, src + 1, 1)
+    indptr = np.cumsum(indptr)
+    return Graph(indptr, dst, features=features, labels=labels, name=name)

@@ -1,17 +1,24 @@
 """Predictor-layer oracles: the scalar profiling loop (behind
-:func:`repro.predictor.profiler.profile_stage_times`) and the
-allocation-heavy MLP fit (behind ``MLPRegressor._fit``).
+:func:`repro.predictor.profiler.profile_stage_times`), the
+allocation-heavy MLP fit (behind ``MLPRegressor._fit``), the
+``np.unique``/``.mean()`` CART split search (behind
+``DecisionTreeRegressor._best_split``) and the per-tree-cached boosting
+loop (behind ``GradientBoostingRegressor._fit``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import PredictorError
 from repro.predictor.mlp import MLPRegressor
 from repro.predictor.profiler import ProfilingResult
+from repro.predictor.regressors import (
+    DecisionTreeRegressor,
+    GradientBoostingRegressor,
+)
 from repro.stages.latency import StageTimingModel
 
 
@@ -100,3 +107,55 @@ def mlp_fit_reference(
                     / (np.sqrt(v_b[layer] / correction2) + eps)
                 )
         model.loss_history.append(epoch_loss / n)
+
+
+def best_split_reference(
+    tree: DecisionTreeRegressor, x: np.ndarray, y: np.ndarray,
+) -> Optional[Tuple[int, float]]:
+    """The original split search: ``np.unique`` candidates and
+    ``((a - a.mean()) ** 2).sum()`` impurities."""
+    best_gain = 0.0
+    best: Optional[Tuple[int, float]] = None
+    parent_sse = float(((y - y.mean()) ** 2).sum())
+    for feature in range(x.shape[1]):
+        column = x[:, feature]
+        unique = np.unique(column)
+        if unique.size < 2:
+            continue
+        if unique.size > tree._max_candidates:
+            quantiles = np.linspace(0, 100, tree._max_candidates + 2)[1:-1]
+            candidates = np.unique(np.percentile(column, quantiles))
+        else:
+            candidates = (unique[:-1] + unique[1:]) / 2
+        for threshold in candidates:
+            mask = column <= threshold
+            left, right = y[mask], y[~mask]
+            if left.size == 0 or right.size == 0:
+                continue
+            sse = (
+                float(((left - left.mean()) ** 2).sum())
+                + float(((right - right.mean()) ** 2).sum())
+            )
+            gain = parent_sse - sse
+            if gain > best_gain:
+                best_gain = gain
+                best = (feature, float(threshold))
+    return best
+
+
+def gradient_boosting_fit_reference(
+    model: GradientBoostingRegressor, x: np.ndarray, y: np.ndarray,
+) -> None:
+    """The original boosting loop: every inner tree goes through the
+    public, artifact-cached ``fit`` (one cache entry per tree)."""
+    model._base = float(y.mean())
+    residual = y - model._base
+    model._trees = []
+    for _ in range(model._n_estimators):
+        tree = DecisionTreeRegressor(
+            max_depth=model._max_depth, min_samples_split=4,
+        )
+        tree.fit(x, residual)
+        update = tree.predict(x)
+        residual = residual - model._learning_rate * update
+        model._trees.append(tree)

@@ -32,7 +32,7 @@ import tempfile
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -46,6 +46,10 @@ ENV_DISK_CACHE = "REPRO_CACHE_DIR"
 # long-lived cache directories.
 ENV_DISK_CACHE_MAX_MB = "REPRO_CACHE_MAX_MB"
 DEFAULT_DISK_CACHE_MAX_MB = 2048.0
+# A process re-scans the disk tier once its own write tally has grown by
+# this fraction of the cap since its last scan, so sibling processes'
+# writes into a shared directory are seen within a bounded overshoot.
+RESCAN_FRACTION = 0.1
 
 
 class CacheKeyError(GoPIMError):
@@ -140,6 +144,10 @@ class ArtifactCache:
         self._memory: Dict[Tuple[str, str], Any] = {}
         self._lock = threading.Lock()
         self.stats = CacheStats()
+        # Per disk root: [bytes on disk as of the last scan plus this
+        # process's writes since, that figure right after the scan].
+        # Keeps the cap check O(1) per write; only a scan walks the tree.
+        self._disk_tally: Dict[Path, List[float]] = {}
 
     # ------------------------------------------------------------------
     def _disk_root(self) -> Optional[Path]:
@@ -191,7 +199,7 @@ class ArtifactCache:
             self._memory[mem_key] = value
         if path is not None:
             self._write_disk(path, value)
-            self._evict_over_cap()
+            self._enforce_cap()
         return value
 
     def get(self, namespace: str, key: str, default: Any = None) -> Any:
@@ -234,10 +242,9 @@ class ArtifactCache:
         path = self._disk_path(namespace, key)
         if path is not None:
             self._write_disk(path, value)
-            self._evict_over_cap()
+            self._enforce_cap()
 
-    @staticmethod
-    def _write_disk(path: Path, value: Any) -> None:
+    def _write_disk(self, path: Path, value: Any) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
         # Atomic publish: concurrent --jobs workers may race on one key.
         fd, tmp_name = tempfile.mkstemp(
@@ -246,12 +253,18 @@ class ArtifactCache:
         try:
             with os.fdopen(fd, "wb") as handle:
                 pickle.dump(value, handle, protocol=pickle.HIGHEST_PROTOCOL)
+                written = handle.tell()
             os.replace(tmp_name, path)
         except OSError:
             try:
                 os.unlink(tmp_name)
             except OSError:
                 pass
+            return
+        with self._lock:
+            tally = self._disk_tally.get(self._disk_root())
+            if tally is not None:
+                tally[0] += written
 
     @staticmethod
     def _disk_cap_bytes() -> float:
@@ -264,12 +277,34 @@ class ArtifactCache:
             return DEFAULT_DISK_CACHE_MAX_MB * 1e6
         return max(0.0, cap) * 1e6
 
+    def _enforce_cap(self) -> int:
+        """Scan-and-evict only when this process's tally says it may be due.
+
+        The first write to a root seeds the tally with one scan; after
+        that a write re-scans only once the tally passes the cap or has
+        grown by :data:`RESCAN_FRACTION` of it since the last scan, which
+        bounds how far sibling ``--jobs`` writers can overshoot unseen.
+        Returns the number of files evicted.
+        """
+        root = self._disk_root()
+        if root is None:
+            return 0
+        cap = self._disk_cap_bytes()
+        with self._lock:
+            tally = self._disk_tally.get(root)
+            if tally is not None and tally[0] <= cap and (
+                tally[0] - tally[1] < RESCAN_FRACTION * cap
+            ):
+                return 0
+        return self._evict_over_cap()
+
     def _evict_over_cap(self) -> int:
         """Drop least-recently-used disk artifacts above the size cap.
 
         Recency is mtime: refreshed on every disk hit and set at write
         time, so eviction order is true LRU across processes sharing the
-        directory.  Returns the number of files removed.
+        directory.  Re-seeds the root's write tally from the scan.
+        Returns the number of files removed.
         """
         root = self._disk_root()
         if root is None or not root.exists():
@@ -284,18 +319,19 @@ class ArtifactCache:
                 continue
             entries.append((stat.st_mtime, stat.st_size, path))
             total += stat.st_size
-        if total <= cap:
-            return 0
         evicted = 0
-        for _, size, path in sorted(entries):
-            try:
-                path.unlink()
-            except OSError:
-                continue
-            evicted += 1
-            total -= size
-            if total <= cap:
-                break
+        if total > cap:
+            for _, size, path in sorted(entries):
+                try:
+                    path.unlink()
+                except OSError:
+                    continue
+                evicted += 1
+                total -= size
+                if total <= cap:
+                    break
+        with self._lock:
+            self._disk_tally[root] = [float(total), float(total)]
         return evicted
 
     def spill_to_disk(self) -> int:
@@ -322,7 +358,7 @@ class ArtifactCache:
                 continue  # unpicklable artifacts stay memory-only
             written += 1
         if written:
-            self._evict_over_cap()
+            self._enforce_cap()
         return written
 
     # ------------------------------------------------------------------
@@ -338,6 +374,8 @@ class ArtifactCache:
             self.stats = CacheStats()
         if disk:
             root = self._disk_root()
+            with self._lock:
+                self._disk_tally.pop(root, None)
             if root is not None and root.exists():
                 for entry in root.rglob("*.pkl"):
                     try:

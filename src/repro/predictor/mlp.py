@@ -10,12 +10,32 @@ subclasses.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import PredictorError
 from repro.predictor.regressors import Regressor
+
+
+# Elements per Adam block: the ~6 live float64 block arrays (parameter,
+# gradient, both moments, two scratch) fit a 2 MiB per-core L2.
+_ADAM_BLOCK = 32 * 1024
+
+
+class _StepBuffers:
+    """Per-batch-size activations, gradients and ReLU masks of one step."""
+
+    def __init__(self, size: int, dims: Sequence[int]) -> None:
+        self.acts = [np.empty((size, width)) for width in dims]
+        # grads[i] is d loss / d (pre-activation output of layer i).
+        self.grads = [np.empty((size, width)) for width in dims[1:]]
+        self.masks = [
+            np.empty((size, width), dtype=bool) for width in dims[1:-1]
+        ]
+        self.yb = np.empty(size)
+        self.err = np.empty(size)
+        self.sq = np.empty(size)
 
 
 class MLPRegressor(Regressor):
@@ -99,20 +119,47 @@ class MLPRegressor(Regressor):
 
         dims = [x.shape[1], *self._hidden, 1]
         self._init_params(dims, rng)
-        m_w = [np.zeros_like(w) for w in self._weights]
-        v_w = [np.zeros_like(w) for w in self._weights]
-        m_b = [np.zeros_like(b) for b in self._biases]
-        v_b = [np.zeros_like(b) for b in self._biases]
-        # Per-parameter scratch for the Adam update: the oracle
-        # (repro.oracles.predictor.mlp_fit_reference) spends a surprising
-        # share of fit time allocating its ~10 temporaries per parameter
-        # per step.  Every in-place expression below applies the same
-        # IEEE ops in the same order as the oracle, so the fitted weights
-        # are bit-identical (tests/predictor/test_mlp_fastpath.py).
-        scratch = [
-            (np.empty_like(p), np.empty_like(p))
-            for p in (*self._weights, *self._biases)
+        # The step loop allocates nothing: every parameter, its gradient
+        # and both Adam moments live in one flat float64 vector each
+        # (weights first, then biases), the layer arrays are views into
+        # them, and activations/gradients/ReLU masks are preallocated
+        # per batch size.  Every expression applies the same IEEE ops in
+        # the same order as the oracle
+        # (repro.oracles.predictor.mlp_fit_reference), so the fitted
+        # weights are bit-identical (tests/predictor/test_mlp_fastpath.py).
+        initial = (*self._weights, *self._biases)
+        shapes = [p.shape for p in initial]
+        offsets = np.concatenate([[0], np.cumsum([p.size for p in initial])])
+        flat = np.concatenate([p.ravel() for p in initial])
+        grad_flat = np.empty_like(flat)
+        m = np.zeros_like(flat)
+        v = np.zeros_like(flat)
+        num_layers = len(self._weights)
+
+        def views(buffer: np.ndarray) -> List[np.ndarray]:
+            return [
+                buffer[lo:hi].reshape(shape)
+                for lo, hi, shape in zip(offsets[:-1], offsets[1:], shapes)
+            ]
+
+        params = views(flat)
+        self._weights = params[:num_layers]
+        self._biases = params[num_layers:]
+        grads = views(grad_flat)
+        grads_w, grads_b = grads[:num_layers], grads[num_layers:]
+        # Adam runs over _ADAM_BLOCK-element slices so its 14 passes
+        # (plus the weight-decay product, folded in here: the weights
+        # are not yet updated when their block comes up) stay in L2.
+        decay_end = int(offsets[num_layers])
+        blocks = [
+            (lo, min(lo + _ADAM_BLOCK, decay_end), True)
+            for lo in range(0, decay_end, _ADAM_BLOCK)
+        ] + [
+            (lo, min(lo + _ADAM_BLOCK, flat.size), False)
+            for lo in range(decay_end, flat.size, _ADAM_BLOCK)
         ]
+        block = min(_ADAM_BLOCK, flat.size)
+        num_buf, den_buf = np.empty(block), np.empty(block)
         beta1, beta2, eps = 0.9, 0.999, 1e-8
         step = 0
         self.loss_history = []
@@ -122,52 +169,72 @@ class MLPRegressor(Regressor):
         # stream consumes the identical sequence of permutation draws, and
         # no other draw happens after initialisation.
         orders = np.stack([rng.permutation(n) for _ in range(self._epochs)])
-        num_layers = len(self._weights)
-        params = (*self._weights, *self._biases)
-        moments1 = (*m_w, *m_b)
-        moments2 = (*v_w, *v_b)
+        step_buffers: Dict[int, _StepBuffers] = {}
         for epoch in range(self._epochs):
             order = orders[epoch]
             epoch_loss = 0.0
             for start in range(0, n, self._batch_size):
                 batch = order[start:start + self._batch_size]
-                xb, yb = x[batch], targets[batch]
-                pred, acts = self._forward(xb)
-                err = pred.ravel() - yb
-                epoch_loss += float((err ** 2).sum())
+                size = batch.size
+                if size not in step_buffers:
+                    step_buffers[size] = _StepBuffers(size, dims)
+                buf = step_buffers[size]
+                acts = buf.acts
+                # mode="clip" skips take's buffered bounds check (the
+                # permutation indices are in range by construction).
+                np.take(x, batch, axis=0, out=acts[0], mode="clip")
+                np.take(targets, batch, out=buf.yb, mode="clip")
+                for layer in range(num_layers):
+                    out = acts[layer + 1]
+                    np.matmul(acts[layer], self._weights[layer], out=out)
+                    np.add(out, self._biases[layer], out=out)
+                    if layer != num_layers - 1:
+                        np.maximum(out, 0.0, out=out)
+                err = buf.err
+                np.subtract(acts[-1].reshape(size), buf.yb, out=err)
+                np.multiply(err, err, out=buf.sq)
+                epoch_loss += float(buf.sq.sum())
 
                 # Backprop through the MSE head.
-                grad = (2.0 / xb.shape[0]) * err[:, None]
-                grads: List[np.ndarray] = [None] * (2 * num_layers)
+                np.multiply(err, 2.0 / size, out=buf.grads[-1].reshape(size))
                 for layer in range(num_layers - 1, -1, -1):
-                    grads[layer] = (
-                        acts[layer].T @ grad + self._decay * self._weights[layer]
-                    )
-                    grads[num_layers + layer] = grad.sum(axis=0)
+                    grad = buf.grads[layer]
+                    np.matmul(acts[layer].T, grad, out=grads_w[layer])
+                    np.sum(grad, axis=0, out=grads_b[layer])
                     if layer > 0:
-                        grad = grad @ self._weights[layer].T
-                        grad = grad * (acts[layer] > 0)
+                        below = buf.grads[layer - 1]
+                        np.matmul(grad, self._weights[layer].T, out=below)
+                        # A multiply, not np.where: grad * 0.0 keeps the
+                        # oracle's signed zeros.
+                        mask = buf.masks[layer - 1]
+                        np.greater(acts[layer], 0, out=mask)
+                        np.multiply(below, mask, out=below)
 
                 step += 1
                 correction1 = 1 - beta1 ** step
                 correction2 = 1 - beta2 ** step
-                for param, m, v, g, (num, den) in zip(
-                    params, moments1, moments2, grads, scratch,
-                ):
+                for lo, hi, decays in blocks:
+                    param, g = flat[lo:hi], grad_flat[lo:hi]
+                    m_blk, v_blk = m[lo:hi], v[lo:hi]
+                    num, den = num_buf[:hi - lo], den_buf[:hi - lo]
+                    if decays:
+                        # g += decay * w (the oracle's L2 term).
+                        np.multiply(param, self._decay, out=num)
+                        np.add(g, num, out=g)
                     # m = beta1 * m + (1 - beta1) * g, in place.
-                    np.multiply(m, beta1, out=m)
+                    np.multiply(m_blk, beta1, out=m_blk)
                     np.multiply(g, 1 - beta1, out=num)
-                    np.add(m, num, out=m)
+                    np.add(m_blk, num, out=m_blk)
                     # v = beta2 * v + (1 - beta2) * g**2, in place
                     # (g * g is bitwise-equal to g ** 2 and skips the
                     # generic pow loop).
-                    np.multiply(v, beta2, out=v)
+                    np.multiply(v_blk, beta2, out=v_blk)
                     np.multiply(g, g, out=den)
                     np.multiply(den, 1 - beta2, out=den)
-                    np.add(v, den, out=v)
+                    np.add(v_blk, den, out=v_blk)
                     # param -= lr * (m / c1) / (sqrt(v / c2) + eps)
-                    np.divide(m, correction1, out=num)
-                    np.divide(v, correction2, out=den)
+                    np.divide(m_blk, correction1, out=num)
+                    np.divide(v_blk, correction2, out=den)
                     np.sqrt(den, out=den)
                     np.add(den, eps, out=den)
                     np.divide(num, den, out=num)

@@ -27,7 +27,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.errors import PredictorError
-from repro.perf import cache_key, get_cache, profile
+from repro.perf import cache_key, get_cache, kernels, profile
 
 
 def root_mean_squared_error(y_true: np.ndarray, y_pred: np.ndarray) -> float:
@@ -80,12 +80,23 @@ class Regressor:
 
     def _fit_and_pack(self, x: np.ndarray, y: np.ndarray) -> bytes:
         """Run the real fit and pickle the fitted attribute state."""
+        self._fit_uncached(x, y)
+        return pickle.dumps(self.__dict__, protocol=pickle.HIGHEST_PROTOCOL)
+
+    def _fit_uncached(self, x: np.ndarray, y: np.ndarray) -> "Regressor":
+        """Standardise and fit validated data in place, bypassing the cache.
+
+        For estimators fitted inside an ensemble whose own fit is already
+        cached as one artifact (the boosted trees): caching each inner
+        fit too would only add a key hash, a pickle round trip and a
+        disk file per estimator.
+        """
         self._x_mean = x.mean(axis=0)
         self._x_std = x.std(axis=0)
         self._x_std[self._x_std == 0] = 1.0
         self._fit((x - self._x_mean) / self._x_std, y)
         self._fitted = True
-        return pickle.dumps(self.__dict__, protocol=pickle.HIGHEST_PROTOCOL)
+        return self
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Predict targets for a feature matrix."""
@@ -202,6 +213,12 @@ class BayesianRidgeRegressor(Regressor):
         return design @ self._coef
 
 
+def _sse(values: np.ndarray) -> float:
+    """``((v - v.mean()) ** 2).sum()``: squared deviations from the mean."""
+    d = values - np.add.reduce(values) / values.size
+    return float(np.add.reduce(d * d))
+
+
 @dataclass
 class _TreeNode:
     """One CART node; leaves carry a value, internal nodes a split."""
@@ -240,7 +257,7 @@ class DecisionTreeRegressor(Regressor):
         self._root = self._build(x, y, depth=0)
 
     def _build(self, x: np.ndarray, y: np.ndarray, depth: int) -> _TreeNode:
-        node = _TreeNode(value=float(y.mean()))
+        node = _TreeNode(value=float(np.add.reduce(y) / y.size))
         if (
             depth >= self._max_depth
             or y.size < self._min_samples_split
@@ -259,17 +276,23 @@ class DecisionTreeRegressor(Regressor):
         return node
 
     def _best_split(self, x: np.ndarray, y: np.ndarray) -> Optional[Tuple[int, float]]:
+        # Means as add.reduce / size and squares as d * d: the same IEEE
+        # ops as .mean() and ** 2 without the _methods dispatch, so the
+        # chosen split is bit-identical to the oracle
+        # (repro.oracles.predictor.best_split_reference).
         best_gain = 0.0
         best: Optional[Tuple[int, float]] = None
-        parent_sse = float(((y - y.mean()) ** 2).sum())
+        parent_sse = _sse(y)
         for feature in range(x.shape[1]):
             column = x[:, feature]
-            unique = np.unique(column)
+            unique = kernels.sorted_unique(column)
             if unique.size < 2:
                 continue
             if unique.size > self._max_candidates:
                 quantiles = np.linspace(0, 100, self._max_candidates + 2)[1:-1]
-                candidates = np.unique(np.percentile(column, quantiles))
+                candidates = kernels.sorted_unique(
+                    np.percentile(column, quantiles),
+                )
             else:
                 candidates = (unique[:-1] + unique[1:]) / 2
             for threshold in candidates:
@@ -277,11 +300,7 @@ class DecisionTreeRegressor(Regressor):
                 left, right = y[mask], y[~mask]
                 if left.size == 0 or right.size == 0:
                     continue
-                sse = (
-                    float(((left - left.mean()) ** 2).sum())
-                    + float(((right - right.mean()) ** 2).sum())
-                )
-                gain = parent_sse - sse
+                gain = parent_sse - (_sse(left) + _sse(right))
                 if gain > best_gain:
                     best_gain = gain
                     best = (feature, float(threshold))
@@ -325,7 +344,7 @@ class GradientBoostingRegressor(Regressor):
             tree = DecisionTreeRegressor(
                 max_depth=self._max_depth, min_samples_split=4,
             )
-            tree.fit(x, residual)
+            tree._fit_uncached(x, residual)
             update = tree.predict(x)
             residual = residual - self._learning_rate * update
             self._trees.append(tree)

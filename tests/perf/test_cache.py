@@ -7,6 +7,7 @@ import enum
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -244,6 +245,66 @@ class TestDiskCap:
         cache = ArtifactCache(disk_dir=str(tmp_path))
         self._fill(cache, 4)
         assert len(list(tmp_path.rglob("*.pkl"))) == 4
+
+    @staticmethod
+    def _count_scans(monkeypatch):
+        calls = []
+        rglob = Path.rglob
+
+        def counting(self, pattern, *args, **kwargs):
+            calls.append(pattern)
+            return rglob(self, pattern, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "rglob", counting)
+        return calls
+
+    def test_writes_under_default_cap_scan_once(self, tmp_path, monkeypatch):
+        # The write tally seeds from one scan; later writes under the cap
+        # (and under the re-scan stride) never walk the directory again.
+        monkeypatch.delenv(ENV_DISK_CACHE_MAX_MB, raising=False)
+        scans = self._count_scans(monkeypatch)
+        cache = ArtifactCache(disk_dir=str(tmp_path))
+        self._fill(cache, 20, payload_kb=4)
+        for i in range(5):
+            cache.put("other", f"p{i}", i)
+        assert len(scans) == 1
+        assert len(list(tmp_path.rglob("*.pkl"))) == 25
+
+    def test_sibling_writer_caught_at_next_rescan(self, tmp_path, monkeypatch):
+        # Cache B stands in for a --jobs worker sharing the directory:
+        # A's tally never sees B's writes, so A notices them only at its
+        # next re-scan — due once A itself has written 10% of the cap.
+        monkeypatch.setenv(ENV_DISK_CACHE_MAX_MB, "100")
+        a = ArtifactCache(disk_dir=str(tmp_path))
+        b = ArtifactCache(disk_dir=str(tmp_path))
+        a.put("a", "seed", 0)  # seeds A's tally with one scan
+        self._fill(b, 4, payload_kb=64)  # ~0.26 MB under B's cap
+        for path in tmp_path.rglob("*.pkl"):
+            os.utime(path, (1, 1))  # B's files are the stalest
+        monkeypatch.setenv(ENV_DISK_CACHE_MAX_MB, "0.2")
+        scans = self._count_scans(monkeypatch)
+
+        def disk_bytes():
+            return sum(p.stat().st_size for p in tmp_path.rglob("*.pkl"))
+
+        blob = np.zeros(1024)  # ~8 KB per write; re-scan stride is 20 KB
+        writes = 0
+        while not scans:
+            a.put("a", f"k{writes}", blob)
+            writes += 1
+            assert writes <= 3, "no re-scan within the 10%-of-cap stride"
+        assert disk_bytes() <= 0.2e6
+        assert not (tmp_path / "ns" / "k0.pkl").exists()  # B's stalest
+        assert (tmp_path / "a" / f"k{writes - 1}.pkl").exists()
+
+    def test_clear_disk_reseeds_tally(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(ENV_DISK_CACHE_MAX_MB, "0.2")
+        cache = ArtifactCache(disk_dir=str(tmp_path))
+        self._fill(cache, 2)
+        cache.clear(disk=True)
+        scans = self._count_scans(monkeypatch)
+        self._fill(cache, 1)
+        assert len(scans) == 1  # the next write re-seeds from a scan
 
 
 class TestSpillToDisk:

@@ -1,9 +1,10 @@
 """MLP fast-path fit vs the retained reference loop, plus fit memoisation.
 
 ``_fit`` draws every epoch's shuffle as one ``(epochs, n)`` permutation
-matrix up front and runs the Adam update in preallocated scratch with the
-same IEEE operations in the same order as the oracle
-``repro.oracles.predictor.mlp_fit_reference`` (``g * g``
+matrix up front, runs forward and backward passes in per-batch-size
+preallocated buffers, and runs the Adam update over blocks of one flat
+parameter vector with the same IEEE operations in the same order as the
+oracle ``repro.oracles.predictor.mlp_fit_reference`` (``g * g``
 standing in, bitwise-equally, for ``g ** 2``).  Weights, biases and the
 loss history must therefore match *bit for bit*, not just approximately.
 
@@ -60,6 +61,37 @@ def test_fit_bit_identical_with_partial_final_batch():
     for w_fast, w_ref in zip(fast._weights, ref._weights):
         np.testing.assert_array_equal(w_fast, w_ref)
     assert fast.loss_history == ref.loss_history
+
+
+def _assert_fits_identical(fast, ref):
+    assert len(fast._weights) == len(ref._weights)
+    for w_fast, w_ref in zip(fast._weights, ref._weights):
+        np.testing.assert_array_equal(w_fast, w_ref)
+    for b_fast, b_ref in zip(fast._biases, ref._biases):
+        np.testing.assert_array_equal(b_fast, b_ref)
+    # Bitwise, not approximate: compare the float64 bytes.
+    assert (
+        np.array(fast.loss_history).tobytes()
+        == np.array(ref.loss_history).tobytes()
+    )
+
+
+# Fig. 9's shapes: the depth-6 head of the depth sweep (four 256-wide
+# hidden layers, Adam blocks spanning several layers) and the widest
+# head of the width sweep.  n covers a ragged final batch (81), an exact
+# multiple of the batch size (64) and a single short batch (40).
+@pytest.mark.parametrize("hidden", [(256,) * 4, (512,)])
+@pytest.mark.parametrize("n", [81, 64, 40])
+def test_fig09_shapes_bit_identical(hidden, n):
+    x, y = _training_data(seed=n, n=n, dims=10)
+    xn = (x - x.mean(axis=0)) / x.std(axis=0)
+    kwargs = dict(hidden_layers=hidden, epochs=6, learning_rate=3e-3,
+                  weight_decay=1e-4, random_state=0)
+    fast, ref = MLPRegressor(**kwargs), MLPRegressor(**kwargs)
+    fast._fit(xn, y)
+    mlp_fit_reference(ref, xn, y)
+    _assert_fits_identical(fast, ref)
+    np.testing.assert_array_equal(fast._predict(xn), ref._predict(xn))
 
 
 def test_public_fit_predict_unchanged():
