@@ -38,10 +38,6 @@ speedups) to ``BENCH_hotpaths.json`` at the repo root:
   event loop on a 4-stage x many-batch serving timeline.  Integer
   nanoseconds make the two *byte*-identical — asserted like the other
   fast paths.  Target: >= 10x.
-* **fast_numerics** — the exact vs the fast numerics tier on the
-  kernels the fast tier still changes: ``spmm_normalized``,
-  ``segment_fold``, ``cross_entropy`` and the float32 link-prediction
-  chain, summed, warm tuner.  Target: >= 1.5x, hard in ``--quick``.
 * **backends** — the trace backend's compile-once economics: cold
   stage-chain lowering vs the memoised ArtifactCache lookup (>= 5x,
   hard in ``--quick``), scoreboard replay throughput in instruction
@@ -701,118 +697,6 @@ def bench_sweep(
     }
 
 
-def bench_fast_numerics(quick: bool) -> Dict[str, object]:
-    """Exact vs fast numerics tier on the kernels that still differ.
-
-    Most of the quick sweep's training and accelerator time runs the same
-    byte-identical code in both tiers (the CSR sparsifier and the
-    in-place optimizer ops serve the exact tier too), so a ratio over
-    whole phase buckets mostly measures shared code.  This section times
-    only what the fast tier changes, each at the shapes the quick sweep
-    calls it with, warm (the kernel tuner has recorded its winners),
-    best of N:
-
-    * ``spmm_normalized`` — GCN propagation ``D^-1/2 (A+I) D^-1/2 @ H``
-      (tuned split / fused-CSR / dense vs the split chain) on the quick
-      ``ddi`` graph at width 256 and the quick ``cora`` graph at widths
-      256 and 28;
-    * ``segment_fold`` — the crossbar aggregation's per-vertex sum
-      (tuned left fold / ``reduceat`` vs the left fold), 96 segments
-      over 576 rows of width 16;
-    * ``cross_entropy`` — the batched node trainers' softmax loss
-      (float32 vs float64 per-replica reduce), 4 replicas x 475 rows x
-      7 classes;
-    * ``link_chain`` — a four-replica link-prediction fleet on ``ddi``,
-      whose epoch runs the sigmoid -> BCE -> edge-scatter chain in
-      float32 with split scatter plans vs float64 with the fused plan.
-
-    The headline ``speedup`` is summed exact over summed fast seconds.
-    One quick experiment per tier still checks that results carry their
-    tier's provenance stamp.
-    """
-    from repro.experiments.registry import run_all
-    from repro.gcn.batched import (
-        ReplicaSpec,
-        _cross_entropy_replicas,
-        train_replicas,
-    )
-    from repro.graphs.datasets import load_dataset
-    from repro.hardware.engine import segment_fold
-    from repro.perf import kernels
-    from repro.runtime import RunSpec, Session
-
-    repeats = 3 if quick else 5
-    rng = np.random.default_rng(0)
-    ddi = load_dataset("ddi", random_state=0)
-    cora = load_dataset("cora", random_state=0)
-    spmm_cases = [
-        (graph, rng.standard_normal((graph.num_vertices, width))
-         .astype(np.float32))
-        for graph, width in ((ddi, 256), (cora, 256), (cora, 28))
-    ]
-    fold_indptr = np.arange(0, 577, 6)
-    fold_rows = rng.standard_normal((576, 16)).astype(np.float32)
-    fold_initial = np.zeros((96, 16), dtype=np.float32)
-    logits = rng.standard_normal((4, 475, 7)).astype(np.float32)
-    labels = rng.integers(0, 7, (4, 475))
-    sessions = {tier: Session(RunSpec(numerics=tier))
-                for tier in ("exact", "fast")}
-
-    def link_fleet(tier: str):
-        return train_replicas(
-            [
-                ReplicaSpec(graph=ddi, task="link", epochs=3, random_state=0)
-                for _ in range(4)
-            ],
-            session=sessions[tier], min_batch=1,
-        )
-
-    work = {
-        "spmm_normalized": lambda: [
-            graph.normalized_adjacency_matmul(h) for graph, h in spmm_cases
-        ],
-        "segment_fold": lambda: segment_fold(
-            fold_indptr, fold_rows, fold_initial,
-        ),
-        "cross_entropy": lambda: _cross_entropy_replicas(logits, labels),
-    }
-    per_kernel: Dict[str, Dict[str, float]] = {}
-    for name, fn in work.items():
-        seconds = {}
-        for tier in ("exact", "fast"):
-            with kernels.numerics(tier):
-                seconds[tier] = best_of(fn, repeats)
-        per_kernel[name] = seconds
-    per_kernel["link_chain"] = {
-        tier: best_of(lambda tier=tier: link_fleet(tier), repeats)
-        for tier in ("exact", "fast")
-    }
-    for seconds in per_kernel.values():
-        seconds["speedup"] = seconds["exact"] / seconds["fast"]
-
-    tiers_ok = True
-    for tier in ("exact", "fast"):
-        results = run_all(quick=True, only=QUICK_SWEEP_IDS[:1], jobs=1,
-                          numerics=tier)
-        tiers_ok = tiers_ok and bool(results) and all(
-            (r.metadata.get("provenance") or {}).get("numerics", "exact")
-            == tier
-            for r in results
-        )
-
-    exact_s = sum(k["exact"] for k in per_kernel.values())
-    fast_s = sum(k["fast"] for k in per_kernel.values())
-    return {
-        "kernels": list(per_kernel),
-        "per_kernel": per_kernel,
-        "reference_s": exact_s,
-        "vectorized_s": fast_s,
-        "speedup": exact_s / fast_s,
-        "provenance_tiers_stamped": tiers_ok,
-        "bit_identical": None,  # relaxed tier: budgeted, not bitwise
-    }
-
-
 def bench_backends(quick: bool) -> Dict[str, object]:
     """Trace-backend economics: compile cold vs memoised warm, replay rate.
 
@@ -931,7 +815,6 @@ def main(argv=None) -> int:
         "serving": bench_serving(args.quick),
         "training": bench_training(args.quick),
         "sweep": bench_sweep(args.quick, args.jobs, args.phases or None),
-        "fast_numerics": bench_fast_numerics(args.quick),
         "backends": bench_backends(args.quick),
     }
     failures = []
@@ -952,12 +835,6 @@ def main(argv=None) -> int:
         # barely moves, compressing the honest ratio to ~1.1-1.3x; the
         # quick guard therefore only pins "batched never loses".
         ("training", 1.5, 1.05),
-        # The relaxed-identity tier must actually buy its relaxation:
-        # >= 1.5x summed over the kernels the fast tier changes (warm
-        # tuner, best-of-N) — a hard guard in quick mode, since a
-        # same-process kernel ratio is machine-stable even where
-        # absolute times are not.
-        ("fast_numerics", 1.5, 1.5),
         # Compile-once must pay for itself: the memoised warm lookup
         # must beat a cold stage-chain compile >= 5x even in quick mode
         # (it skips the write-histogram pass entirely).
@@ -996,11 +873,6 @@ def main(argv=None) -> int:
     print(f"  backends/wall     trace = "
           f"{backends['trace_vs_analytic_wall']:.2f}x analytic "
           f"(epoch matrix, warm)")
-    if report["fast_numerics"]["provenance_tiers_stamped"] is not True:
-        failures.append(
-            "fast_numerics: results missing or mismatching the numerics "
-            "provenance stamp"
-        )
     sweep = report["sweep"]
     bound = sweep["lpt_bound_speedup"]
     bound_str = f"{bound:.2f}x" if bound else "n/a"

@@ -14,8 +14,7 @@ Commands
     Run registered experiments and print their markdown tables.
 ``list``
     Print the collected experiment registry (id, cost hint, supported
-    backends and numerics tiers, datasets, title) without running
-    anything.
+    backends, datasets, title) without running anything.
 ``run ID``
     Run one experiment under a fresh session and print its table, or
     with ``--json`` the rows plus the full provenance block (run spec,
@@ -121,9 +120,7 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
     from repro.experiments.registry import run_all
 
     results = run_all(quick=args.quick, only=args.ids or None,
-                      jobs=args.jobs,
-                      numerics="fast" if args.fast else None,
-                      backend=args.backend)
+                      jobs=args.jobs, backend=args.backend)
     print(combine_markdown(results))
     return 0
 
@@ -134,7 +131,7 @@ def _cmd_list(_: argparse.Namespace) -> int:
     collected = specs()
     width = max(len(spec_id) for spec_id in collected)
     header = (
-        f"{'id':<{width}}  {'cost':>5}  {'backends':<15}  {'numerics':<11}  "
+        f"{'id':<{width}}  {'cost':>5}  {'backends':<15}  "
         f"{'datasets':<22}  title"
     )
     print(header)
@@ -142,10 +139,9 @@ def _cmd_list(_: argparse.Namespace) -> int:
     for spec_id, spec in collected.items():
         datasets = ",".join(spec.datasets) if spec.datasets else "-"
         backends = ",".join(spec.backends)
-        tiers = ",".join(spec.numerics_tiers)
         print(
             f"{spec_id:<{width}}  {spec.cost_hint:>5.1f}  "
-            f"{backends:<15}  {tiers:<11}  "
+            f"{backends:<15}  "
             f"{datasets:<22}  {spec.title}"
         )
     return 0
@@ -159,7 +155,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     session = Session(RunSpec(
         seed=args.seed,
-        numerics="fast" if args.fast else "exact",
         backend=args.backend or "analytic",
     ))
     result = run_all(
@@ -265,9 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     experiments.add_argument("--quick", action="store_true")
     experiments.add_argument("--jobs", type=int, default=1, metavar="N",
                              help="worker processes")
-    experiments.add_argument("--fast", action="store_true",
-                             help="relaxed-identity fast-numerics tier "
-                                  "(autotuned kernels; provenance-stamped)")
     experiments.add_argument("--backend", choices=("analytic", "trace"),
                              default=None,
                              help="simulation backend for every epoch "
@@ -283,9 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="session master seed")
     run.add_argument("--quick", action="store_true",
                      help="fast smoke parameters")
-    run.add_argument("--fast", action="store_true",
-                     help="relaxed-identity fast-numerics tier "
-                          "(autotuned kernels; provenance-stamped)")
     run.add_argument("--backend", choices=("analytic", "trace"),
                      default=None,
                      help="simulation backend (trace replays compiled "

@@ -36,13 +36,10 @@ checked here are the *shapes*: who wins, by roughly what factor, where
 the crossovers fall.  Each section's notes line quotes the paper's
 corresponding numbers.
 
-**Numerics tier.** Every table below is produced under the default
-`numerics="exact"` tier — bit-reproducible, golden-hash-pinned
-(MODEL.md section 11).  The opt-in fast tier (`repro run <id> --fast`,
-`run_all(..., numerics="fast")`) trades bit identity for autotuned
-kernels within documented error budgets; fast-tier results carry a
-`numerics: fast` provenance stamp and are refused in this document —
-regeneration fails rather than silently mixing tiers.
+**Numerics.** Every table below is bit-reproducible and
+golden-hash-pinned: each behaviour has one exact kernel.  The former
+relaxed-identity fast tier was retired (MODEL.md section 11); saved
+results stamped `numerics: fast` are refused on load.
 
 Summary of shape checks (all asserted by `pytest benchmarks/`):
 

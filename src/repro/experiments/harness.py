@@ -84,42 +84,6 @@ class ExperimentResult:
         return "\n".join(lines) + "\n"
 
 
-def result_numerics(result: ExperimentResult) -> str:
-    """The numerics tier a result was produced under (from provenance).
-
-    Results predating the provenance ``numerics`` field (or produced
-    without a session stamp) count as ``"exact"`` — that was the only
-    tier that existed.
-    """
-    provenance = result.metadata.get("provenance") or {}
-    return str(provenance.get("numerics", "exact"))
-
-
-def ensure_uniform_numerics(
-    results: Sequence[ExperimentResult],
-    require: Optional[str] = None,
-) -> str:
-    """Refuse to combine/compare results from different numerics tiers.
-
-    One rendered document or golden-hash comparison must never mix
-    exact-tier and fast-tier rows — a fast table could silently
-    masquerade as exact.  Returns the common tier; ``require`` pins it.
-    """
-    tiers = {result_numerics(result) for result in results}
-    if len(tiers) > 1:
-        raise ExperimentError(
-            "refusing to combine results from mixed numerics tiers: "
-            f"{sorted(tiers)} (re-run everything under one tier)"
-        )
-    tier = tiers.pop() if tiers else "exact"
-    if require is not None and tier != require:
-        raise ExperimentError(
-            f"these results were produced under numerics={tier!r}; "
-            f"this comparison requires numerics={require!r}"
-        )
-    return tier
-
-
 def result_backend(result: ExperimentResult) -> str:
     """The simulation backend a result was produced under.
 
@@ -137,8 +101,7 @@ def ensure_uniform_backend(
 ) -> str:
     """Refuse to combine/compare results from different backends.
 
-    The numerics-tier rule's counterpart for the simulation backend: a
-    rendered document or golden-hash comparison must never mix analytic
+    A rendered document or golden-hash comparison must never mix analytic
     and trace rows — trace latencies could silently masquerade as the
     recorded analytic ones.  Returns the common backend; ``require``
     pins it (golden comparisons require ``"analytic"``).
@@ -160,7 +123,6 @@ def ensure_uniform_backend(
 
 def combine_markdown(results: Sequence[ExperimentResult]) -> str:
     """Concatenate rendered results (the EXPERIMENTS.md generator)."""
-    ensure_uniform_numerics(results)
     ensure_uniform_backend(results)
     return "\n".join(result.to_markdown() for result in results)
 

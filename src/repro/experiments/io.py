@@ -74,9 +74,23 @@ def save_results(
 
 
 def load_results(path: Union[str, Path]) -> List[ExperimentResult]:
-    """Read results back from JSON."""
+    """Read results back from JSON.
+
+    Files written before the relaxed-identity numerics tier was retired
+    may hold results stamped ``numerics: fast``; those are refused so a
+    fast table can never pass as an exact one.
+    """
     try:
         payload = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ExperimentError(f"cannot load results from {path}: {exc}") from exc
-    return results_from_dict(payload)
+    results = results_from_dict(payload)
+    for result in results:
+        provenance = result.metadata.get("provenance") or {}
+        tier = provenance.get("numerics", "exact")
+        if tier != "exact":
+            raise ExperimentError(
+                f"{path}: result {result.experiment_id!r} was produced "
+                f"under the retired numerics={tier!r} tier; re-run it"
+            )
+    return results

@@ -63,7 +63,7 @@ from repro.gcn.trainer import (
 )
 from repro.graphs.graph import Graph
 from repro.mapping.selective import UpdatePlan
-from repro.perf import kernels, profile
+from repro.perf import profile
 
 NODE_TEST_FRACTION = 0.3  # NodeClassificationTrainer default
 LINK_TEST_FRACTION = 0.2  # LinkPredictionTrainer default
@@ -162,7 +162,7 @@ class _BatchedStore:
                 # Full refreshes adopt the array: ``values`` is always a
                 # fresh matmul output the caller never touches again, so
                 # skipping the [R, V, d] copy leaves the stored bits
-                # unchanged in both numerics tiers.
+                # unchanged.
                 self._buffers[layer] = values
             else:
                 self._buffers[layer] = np.array(values, dtype=np.float32)
@@ -370,26 +370,6 @@ def _cross_entropy_replicas(
     extract each replica's contiguous probability row before the 1-D
     ``mean`` so the pairwise-summation blocking matches the serial path.
     """
-    if kernels.fast_mode():
-        # Fast tier: softmax in the logits' native float32 and one
-        # vectorised axis-mean per replica block (pairwise blocking
-        # differs from the serial 1-D reduce; budgeted under
-        # ERROR_BUDGETS["cross_entropy"]).
-        logits32 = np.asarray(logits, dtype=np.float32)
-        num_replicas, n, num_classes = logits32.shape
-        if labels.min() < 0 or labels.max() >= num_classes:
-            raise TrainingError("labels out of range of logit columns")
-        probs = softmax(logits32.reshape(num_replicas * n, num_classes))
-        probs = probs.reshape(num_replicas, n, num_classes)
-        rows = np.arange(n)
-        picked = probs[np.arange(num_replicas)[:, None], rows[None, :], labels]
-        losses = [
-            float(v)
-            for v in -np.log(picked + 1e-12).mean(axis=1, dtype=np.float64)
-        ]
-        grad = probs
-        grad[np.arange(num_replicas)[:, None], rows[None, :], labels] -= 1.0
-        return losses, (grad / n).astype(np.float32)
     logits64 = np.asarray(logits, dtype=np.float64)
     num_replicas, n, num_classes = logits64.shape
     if labels.min() < 0 or labels.max() >= num_classes:
@@ -708,32 +688,9 @@ class BatchedLinkTrainer:
         self._scores = np.empty(
             (2 * num_replicas, num_edges), dtype=np.float32,
         )
-        # Fast tier: the whole sigmoid→BCE→scatter chain stays float32
-        # (the embeddings' native dtype), skipping the float64 upcasts
-        # the exact tier's bit-identity contract requires.
-        self._fast = kernels.fast_mode()
-        scatter_dtype = np.float32 if self._fast else np.float64
         self._log_buf = np.empty(num_edges, dtype=np.float64)
-        self._data_buf = np.empty(4 * num_edges, dtype=scatter_dtype)
-        self._emb64_buf = (
-            None if self._fast
-            else np.empty((graph.num_vertices, dim), dtype=np.float64)
-        )
-        # Fast tier: the scatter plan splits into a positive half (edge
-        # set fixed for the whole run — built here, once) and a per-epoch
-        # negative half at 2E entries, halving the per-epoch argsort/CSR
-        # build.  The exact tier keeps the fused 4E plan (its per-row
-        # accumulation order is pinned by the golden hashes).
-        self._pos_scatter: List[EdgeScatter] = []
-        if self._fast:
-            for r in range(1 if self._shared_seed else num_replicas):
-                p0, p1 = self._pos_idx[r]
-                self._pos_scatter.append(EdgeScatter(
-                    np.concatenate([p0, p1]),
-                    np.concatenate([p1, p0]),
-                    graph.num_vertices,
-                    dtype=np.float32,
-                ))
+        self._data_buf = np.empty(4 * num_edges, dtype=np.float64)
+        self._emb64_buf = np.empty((graph.num_vertices, dim), dtype=np.float64)
         self._store = _BatchedStore(first.num_layers)
 
     def _sample_negatives(
@@ -791,25 +748,12 @@ class BatchedLinkTrainer:
                 graph, features, store=self._store, masks=masks,
                 training=True,
             )
-            if self._fast and self._shared_seed:
-                # Same-seed trainer streams produce identical draws, so
-                # one draw serves every replica.  (The sibling streams
-                # skip their draws entirely — fast mode does not promise
-                # stream-position parity, only matching results.)
-                shared = self._sample_negative_columns(
-                    self.streams[0]["trainer"], self.train_pos[0].shape[0],
+            neg_idx = [
+                self._sample_negative_columns(
+                    self.streams[r]["trainer"], self.train_pos[r].shape[0],
                 )
-                neg_idx: List[Tuple[np.ndarray, np.ndarray]] = (
-                    [shared] * num_replicas
-                )
-            else:
-                neg_idx = [
-                    self._sample_negative_columns(
-                        self.streams[r]["trainer"],
-                        self.train_pos[r].shape[0],
-                    )
-                    for r in range(num_replicas)
-                ]
+                for r in range(num_replicas)
+            ]
             # Fused BCE: all replicas' scores in one [2R, E] matrix so
             # sigmoid runs once per epoch; one scatter plan per epoch
             # (shared across replicas when the seeds agree).
@@ -821,82 +765,37 @@ class BatchedLinkTrainer:
                 scores[num_replicas + r] = buffers.scores(
                     embeddings[r], n0, n1,
                 )
-            probs = sigmoid(scores, promote=not self._fast)
-            if self._fast:
-                # Vectorised BCE rows (axis reduction in float64; the
-                # pairwise blocking differs from the serial 1-D sums —
-                # budgeted under ERROR_BUDGETS["link_bce"]).
-                pos_terms = np.log(probs[:num_replicas] + 1e-12)
-                neg_terms = np.log(1.0 - probs[num_replicas:] + 1e-12)
-                losses = [
-                    float(v) for v in -(
-                        pos_terms.sum(axis=1, dtype=np.float64)
-                        + neg_terms.sum(axis=1, dtype=np.float64)
-                    )
-                ]
-            else:
-                losses = _bce_sum_terms(probs, num_replicas, self._log_buf)
+            probs = sigmoid(scores)
+            losses = _bce_sum_terms(probs, num_replicas, self._log_buf)
             num_edges = scores.shape[1]
             count = 2 * num_edges
             scatter = None
             if grad_emb is None:
                 grad_emb = np.empty_like(embeddings)
             data = self._data_buf
-            if self._fast:
-                # Split plans: the positive half was built once in
-                # ``__init__``; only the 2E negative half is rebuilt per
-                # epoch (shared across replicas when the seeds agree).
-                pos_data = data[:count]
-                neg_data = data[count:]
-                for r in range(num_replicas):
-                    if scatter is None or not self._shared_seed:
-                        n0, n1 = neg_idx[r]
-                        scatter = EdgeScatter(
-                            np.concatenate([n0, n1]),
-                            np.concatenate([n1, n0]),
-                            num_vertices,
-                            dtype=np.float32,
-                        )
-                    np.subtract(probs[r], 1.0, out=pos_data[:num_edges])
-                    pos_data[num_edges:] = pos_data[:num_edges]
-                    neg_data[:num_edges] = probs[num_replicas + r]
-                    neg_data[num_edges:] = probs[num_replicas + r]
-                    pos_plan = self._pos_scatter[
-                        0 if self._shared_seed else r
-                    ]
-                    grad = pos_plan.apply(pos_data, embeddings[r])
-                    grad += scatter.apply(neg_data, embeddings[r])
-                    np.divide(grad, count, out=grad)
-                    grad_emb[r] = grad
-                    losses[r] = losses[r] / count
-            else:
-                for r in range(num_replicas):
-                    if scatter is None or not self._shared_seed:
-                        p0, p1 = self._pos_idx[r]
-                        n0, n1 = neg_idx[r]
-                        scatter = EdgeScatter(
-                            np.concatenate([p0, p1, n0, n1]),
-                            np.concatenate([p1, p0, n1, n0]),
-                            num_vertices,
-                            dtype=data.dtype,
-                        )
-                    # Coefficients in the serial concatenation order:
-                    # [coeff_pos, coeff_pos, neg_probs, neg_probs].
-                    np.subtract(probs[r], 1.0, out=data[:num_edges])
-                    data[num_edges:2 * num_edges] = data[:num_edges]
-                    data[2 * num_edges:3 * num_edges] = (
-                        probs[num_replicas + r]
+            for r in range(num_replicas):
+                if scatter is None or not self._shared_seed:
+                    p0, p1 = self._pos_idx[r]
+                    n0, n1 = neg_idx[r]
+                    scatter = EdgeScatter(
+                        np.concatenate([p0, p1, n0, n1]),
+                        np.concatenate([p1, p0, n1, n0]),
+                        num_vertices,
                     )
-                    data[3 * num_edges:] = probs[num_replicas + r]
-                    grad = scatter.apply(
-                        data, embeddings[r], emb64_buf=self._emb64_buf,
-                    )
-                    # In-place divide, then let the assignment cast to
-                    # f32 — the same rounding as
-                    # ``(grad / count).astype(float32)``.
-                    np.divide(grad, count, out=grad)
-                    grad_emb[r] = grad
-                    losses[r] = losses[r] / count
+                # Coefficients in the serial concatenation order:
+                # [coeff_pos, coeff_pos, neg_probs, neg_probs].
+                np.subtract(probs[r], 1.0, out=data[:num_edges])
+                data[num_edges:2 * num_edges] = data[:num_edges]
+                data[2 * num_edges:3 * num_edges] = probs[num_replicas + r]
+                data[3 * num_edges:] = probs[num_replicas + r]
+                grad = scatter.apply(
+                    data, embeddings[r], emb64_buf=self._emb64_buf,
+                )
+                # In-place divide, then let the assignment cast to f32 —
+                # the same rounding as ``(grad / count).astype(float32)``.
+                np.divide(grad, count, out=grad)
+                grad_emb[r] = grad
+                losses[r] = losses[r] / count
             grads = self.model.backward(graph, cache, grad_emb)
             self._optimizer.step(self.model.params, grads)
 
@@ -1003,21 +902,18 @@ def train_replicas(
     for position, spec in enumerate(specs):
         groups.setdefault(spec.group_key(), []).append(position)
     results: List[Optional[TrainingResult]] = [None] * len(specs)
-    # Direct API callers (no registry _execute around them) still get
-    # the session's numerics tier; re-entrant activation is a no-op.
-    with session.activate_numerics():
-        for positions in groups.values():
-            group = [specs[p] for p in positions]
-            if len(group) < min_batch:
-                for position, spec in zip(positions, group):
-                    results[position] = _serial_result(spec)
-                continue
-            if group[0].task == "link":
-                trainer = BatchedLinkTrainer(group[0].graph, group, session)
-            else:
-                trainer = BatchedNodeTrainer(group[0].graph, group, session)
-            for position, result in zip(positions, trainer.train()):
-                results[position] = result
+    for positions in groups.values():
+        group = [specs[p] for p in positions]
+        if len(group) < min_batch:
+            for position, spec in zip(positions, group):
+                results[position] = _serial_result(spec)
+            continue
+        if group[0].task == "link":
+            trainer = BatchedLinkTrainer(group[0].graph, group, session)
+        else:
+            trainer = BatchedNodeTrainer(group[0].graph, group, session)
+        for position, result in zip(positions, trainer.train()):
+            results[position] = result
     return results
 
 

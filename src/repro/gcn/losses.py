@@ -49,7 +49,7 @@ def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
     return float((logits.argmax(axis=1) == labels).mean())
 
 
-def sigmoid(x: np.ndarray, promote: bool = True) -> np.ndarray:
+def sigmoid(x: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function.
 
     Branch-free form of the classic two-sided evaluation: with
@@ -57,11 +57,7 @@ def sigmoid(x: np.ndarray, promote: bool = True) -> np.ndarray:
     negative side ``z / (1 + z)`` — the same per-element operations the
     masked implementation performs, so the result is bit-identical, but
     without the boolean gather/scatter copies (about 2x faster on the
-    link trainer's score vectors).
-
-    ``promote=False`` keeps the input's float dtype instead of upcasting
-    the result to float64 — the fast-numerics tier evaluates the link
-    trainer's float32 scores in float32 end to end.
+    link trainer's score vectors).  The result is float64.
     """
     x = np.asarray(x)
     neg = x < 0
@@ -70,7 +66,7 @@ def sigmoid(x: np.ndarray, promote: bool = True) -> np.ndarray:
     denom = z + 1.0
     num = np.where(neg, z, 1.0)
     out = np.divide(num, denom, out=num)
-    if promote and out.dtype != np.float64:
+    if out.dtype != np.float64:
         out = out.astype(np.float64)
     return out
 
@@ -159,8 +155,8 @@ class EdgeScatter:
     applies one epoch's plan once per replica — the pattern, the sorted
     data buffer, and the float64 embedding buffer can all be reused.
     ``apply`` is bit-identical to :func:`apply_edge_scatter` on the same
-    plan: the sorted-data gather and the SpMM see the same values in the
-    same storage order.
+    plan: the sorted-data gather and the float64 SpMM see the same values
+    in the same storage order.
     """
 
     def __init__(
@@ -168,9 +164,7 @@ class EdgeScatter:
         rows: np.ndarray,
         cols: np.ndarray,
         num_vertices: int,
-        dtype: np.dtype = np.float64,
     ) -> None:
-        self.dtype = np.dtype(dtype)
         self.order, self.indptr, self.sorted_cols = edge_scatter_plan(
             rows, cols, num_vertices,
         )
@@ -178,7 +172,7 @@ class EdgeScatter:
         if _sparse is not None:
             self._mat = _sparse.csr_matrix(
                 (
-                    np.empty(self.order.shape[0], dtype=self.dtype),
+                    np.empty(self.order.shape[0], dtype=np.float64),
                     self.sorted_cols,
                     self.indptr,
                 ),
@@ -193,21 +187,16 @@ class EdgeScatter:
     ) -> np.ndarray:
         """``grad[v] = sum_i data[i] * embeddings[cols[i]]`` per plan row.
 
-        ``emb64_buf`` is an optional preallocated ``[V, d]`` scratch (in
-        the plan's dtype) the embeddings are cast into (saves the
-        allocation).  When the plan dtype already matches the embedding
-        dtype — the fast tier's float32 scatter — the embeddings are
-        used in place, no cast or copy at all.
+        ``emb64_buf`` is an optional preallocated float64 ``[V, d]``
+        scratch the embeddings are cast into (saves the allocation).
         """
         if self._mat is None:
             return apply_edge_scatter(
                 self.order, self.indptr, self.sorted_cols, data, embeddings,
             )
         np.take(data, self.order, out=self._mat.data)
-        if embeddings.dtype == self.dtype:
-            emb = embeddings
-        elif emb64_buf is None:
-            emb = np.asarray(embeddings, dtype=self.dtype)
+        if emb64_buf is None:
+            emb = np.asarray(embeddings, dtype=np.float64)
         else:
             np.copyto(emb64_buf, embeddings)
             emb = emb64_buf

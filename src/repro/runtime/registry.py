@@ -62,8 +62,6 @@ class ExperimentSpec:
     #: identical rows.  Accelerator/serving experiments list every
     #: engine; ``repro list`` prints the matrix.
     backends: Tuple[str, ...] = ("analytic",)
-    #: Numerics tiers the experiment supports (all do, today).
-    numerics_tiers: Tuple[str, ...] = ("exact", "fast")
 
     def __post_init__(self) -> None:
         if not self.id:
@@ -102,7 +100,6 @@ def experiment(
     wall_clock: bool = False,
     order: int = 0,
     backends: Tuple[str, ...] = ("analytic",),
-    numerics_tiers: Tuple[str, ...] = ("exact", "fast"),
 ) -> Callable[[Callable], Callable]:
     """Register the decorated run function as an experiment.
 
@@ -122,7 +119,6 @@ def experiment(
             order=order,
             module=fn.__module__,
             backends=tuple(backends),
-            numerics_tiers=tuple(numerics_tiers),
         )
         existing = _declared.get(experiment_id)
         if existing is not None and existing.module != spec.module:

@@ -77,22 +77,6 @@ class Session:
         return f"Session(spec_hash={self.spec.spec_hash()[:12]})"
 
     # ------------------------------------------------------------------
-    # Numerics tier
-    # ------------------------------------------------------------------
-    @property
-    def numerics(self) -> str:
-        """The spec's numerics tier (``"exact"`` or ``"fast"``)."""
-        return self.spec.numerics
-
-    def activate_numerics(self):
-        """Context manager scoping the process numerics mode to this
-        session's tier.  The experiment driver wraps each run in it; the
-        batched trainers wrap their own work for direct API callers."""
-        from repro.perf import kernels
-
-        return kernels.numerics(self.spec.numerics)
-
-    # ------------------------------------------------------------------
     # Simulation backend
     # ------------------------------------------------------------------
     @property
@@ -101,10 +85,9 @@ class Session:
         return self.spec.backend
 
     def activate_backend(self):
-        """Context manager scoping the process simulation backend to
-        this session's — the exact counterpart of
-        :meth:`activate_numerics` for the :mod:`repro.backends`
-        protocol.  The experiment driver wraps each run in both."""
+        """Context manager scoping the process simulation backend (the
+        :mod:`repro.backends` protocol) to this session's.  The
+        experiment driver wraps each run in it."""
         from repro import backends
 
         return backends.use_backend(self.spec.backend)
@@ -244,7 +227,6 @@ class Session:
             "spec_hash": self.spec.spec_hash(),
             "run_spec": self.spec.to_dict(),
             "config_fingerprint": self.config_fingerprint(),
-            "numerics": self.spec.numerics,
             "backend": self.spec.backend,
         }
 

@@ -6,26 +6,19 @@ codebase.  Any change that perturbs an RNG derivation, a cache key, or
 an iteration order shows up here as a hash mismatch — before it shows up
 as a silently different EXPERIMENTS.md.
 
-The always-on subset covers the cheap experiments; set
-``REPRO_GOLDEN_FULL=1`` to check every recorded id (minutes — CI's
-equivalence job scope, not the default tier-1 run).
+Every recorded id runs in tier-1 (all 16 take about 6 s on a 2-vCPU host).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 from pathlib import Path
 
 import pytest
 
 GOLDEN_PATH = Path(__file__).with_name("golden_quick_hashes.json")
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
-
-FAST_IDS = ("fig05", "fig06", "fig07", "abl-motivation", "abl-endurance")
-RUN_ALL = bool(os.environ.get("REPRO_GOLDEN_FULL"))
-IDS = tuple(GOLDEN) if RUN_ALL else FAST_IDS
 
 
 def rows_hash(result) -> str:
@@ -39,10 +32,9 @@ def test_golden_file_covers_known_experiments():
 
     unknown = set(GOLDEN) - set(specs())
     assert not unknown, f"golden ids not in the registry: {sorted(unknown)}"
-    assert set(FAST_IDS) <= set(GOLDEN)
 
 
-@pytest.mark.parametrize("experiment_id", IDS)
+@pytest.mark.parametrize("experiment_id", tuple(GOLDEN))
 def test_quick_rows_match_golden_hash(experiment_id):
     from repro.experiments.registry import run_all
 
@@ -52,26 +44,3 @@ def test_quick_rows_match_golden_hash(experiment_id):
         f"golden hash — a refactor changed the numbers"
     )
 
-
-def test_golden_comparison_refuses_fast_tier_results():
-    """The byte-identity contract only covers exact-tier runs: a result
-    produced under ``numerics="fast"`` must never be compared against
-    the golden hashes (it could silently masquerade as exact)."""
-    import pytest
-
-    from repro.errors import ExperimentError
-    from repro.experiments.harness import ensure_uniform_numerics
-    from repro.experiments.registry import run_all
-
-    result = run_all(only=["fig05"], quick=True, numerics="fast")[0]
-    assert result.metadata["provenance"]["numerics"] == "fast"
-    with pytest.raises(ExperimentError):
-        ensure_uniform_numerics([result], require="exact")
-
-
-def test_golden_checked_results_are_exact_tier():
-    from repro.experiments.harness import ensure_uniform_numerics
-    from repro.experiments.registry import run_all
-
-    result = run_all(only=[FAST_IDS[0]], quick=True)[0]
-    assert ensure_uniform_numerics([result], require="exact") == "exact"

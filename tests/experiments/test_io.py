@@ -78,3 +78,20 @@ def test_load_invalid_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ExperimentError):
         load_results(path)
+
+
+def test_load_refuses_fast_tier_results(results, tmp_path):
+    # Results saved by a checkout that still had the fast numerics tier
+    # must not load as if they were exact.
+    results[1].metadata["provenance"] = {"numerics": "fast"}
+    path = tmp_path / "results.json"
+    save_results(results, path)
+    with pytest.raises(ExperimentError, match="'tab05'.*numerics='fast'"):
+        load_results(path)
+
+
+def test_load_accepts_exact_stamped_and_unstamped_results(results, tmp_path):
+    results[0].metadata["provenance"] = {"numerics": "exact"}
+    path = tmp_path / "results.json"
+    save_results(results, path)
+    assert [r.experiment_id for r in load_results(path)] == ["fig05", "tab05"]

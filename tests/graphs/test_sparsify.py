@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 
 from repro.errors import GraphError
 from repro.graphs.generators import dc_sbm_graph
+from repro.graphs.graph import Graph
 from repro.graphs.sparsify import (
     degree_rank,
     drop_edges_random,
     sparsify_by_degree,
     top_degree_vertices,
 )
+from repro.oracles.graphs import sparsify_by_degree_reference
 
 
 def test_top_degree_vertices_selects_highest(tiny_graph):
@@ -71,3 +73,22 @@ def test_selection_size_matches_theta(theta):
     g = dc_sbm_graph(120, 3, 6.0, random_state=0)
     top = top_degree_vertices(g, theta)
     assert len(top) == int(round(theta * g.num_vertices))
+
+
+@pytest.mark.parametrize("mode", ["both", "either"])
+def test_sparsify_by_degree_matches_reference(mode):
+    # CSR arc filtering must build exactly the graph the edge-list
+    # rebuild oracle builds, edgeless graphs included.
+    graph = dc_sbm_graph(
+        512, 3, 16.0, random_state=5, feature_dim=64,
+        feature_noise=4.0, intra_ratio=0.7,
+    )
+    edgeless = Graph.from_edges(
+        40, np.empty((0, 2), dtype=np.int64), name="edgeless",
+    )
+    for source in (graph, edgeless):
+        for theta in (0.0, 0.25, 1.0):
+            oracle = sparsify_by_degree_reference(source, theta, mode)
+            got = sparsify_by_degree(source, theta, mode)
+            assert got.content_fingerprint() == oracle.content_fingerprint()
+            assert got.name == oracle.name

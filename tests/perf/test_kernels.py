@@ -1,237 +1,39 @@
-"""repro.perf.kernels: numerics modes, strategy registry, autotuner."""
-
-from __future__ import annotations
-
-import os
+"""``kernels.sorted_unique`` equals ``np.unique`` on the inputs it serves."""
 
 import numpy as np
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from repro.errors import ConfigError
 from repro.perf import kernels
-from repro.perf.cache import ArtifactCache, cache_key
-from repro.perf.kernels import (
-    ERROR_BUDGETS,
-    KernelTuner,
-    numerics,
-    register_strategy,
-    set_numerics_mode,
-    shape_class,
-    strategies,
-)
 
 
-@pytest.fixture(autouse=True)
-def _pristine_mode_and_tuner():
-    """Every test starts in exact mode with a cache-less tuner."""
-    previous_mode = set_numerics_mode("exact")
-    previous_tuner = kernels.set_tuner(KernelTuner(ArtifactCache(disk_dir="")))
-    yield
-    set_numerics_mode(previous_mode)
-    kernels.set_tuner(previous_tuner)
+def _assert_same(values: np.ndarray) -> None:
+    got = kernels.sorted_unique(values)
+    expected = np.unique(values)
+    assert got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()
 
 
-class TestNumericsMode:
-    def test_default_is_exact(self):
-        assert kernels.numerics_mode() == "exact"
-        assert not kernels.fast_mode()
-
-    def test_context_manager_scopes_and_restores(self):
-        with numerics("fast"):
-            assert kernels.fast_mode()
-            with numerics("exact"):
-                assert not kernels.fast_mode()
-            assert kernels.fast_mode()
-        assert not kernels.fast_mode()
-
-    def test_restores_on_exception(self):
-        with pytest.raises(RuntimeError):
-            with numerics("fast"):
-                raise RuntimeError("boom")
-        assert kernels.numerics_mode() == "exact"
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ConfigError):
-            set_numerics_mode("approximate")
-        with pytest.raises(ConfigError):
-            with numerics("fastest"):
-                pass  # pragma: no cover
-
-    def test_set_returns_previous(self):
-        assert set_numerics_mode("fast") == "exact"
-        assert set_numerics_mode("exact") == "fast"
+@given(hnp.arrays(
+    np.int64, st.integers(0, 200),
+    elements=st.integers(-(2 ** 62), 2 ** 62) | st.integers(-5, 5),
+))
+@settings(max_examples=200, deadline=None)
+def test_sorted_unique_matches_np_unique_int64(values):
+    _assert_same(values)
 
 
-class TestRegistry:
-    def test_register_and_list(self):
-        @register_strategy("test_kernel_registry", "one")
-        def impl_one():
-            return 1
-
-        @register_strategy("test_kernel_registry", "two")
-        def impl_two():
-            return 2
-
-        names = strategies("test_kernel_registry")
-        assert set(names) == {"one", "two"}
-        assert names["one"]() == 1
-
-    def test_builtin_kernels_registered(self):
-        assert set(strategies("spmm_normalized")) == {
-            "split-scale", "fused-csr", "fused-dense",
-        }
-        assert set(strategies("segment_fold")) == {"leftfold", "reduceat"}
-
-    def test_strategies_returns_copy(self):
-        first = strategies("segment_fold")
-        first["bogus"] = lambda: None
-        assert "bogus" not in strategies("segment_fold")
-
-    def test_error_budgets_cover_registered_kernels(self):
-        for kernel in ("spmm_normalized", "segment_fold"):
-            assert kernel in ERROR_BUDGETS
+@given(hnp.arrays(
+    np.float64, st.integers(0, 200),
+    elements=st.floats(allow_nan=False) | st.sampled_from([0.0, -0.0, 1.5]),
+))
+@settings(max_examples=200, deadline=None)
+def test_sorted_unique_matches_np_unique_float64(values):
+    _assert_same(values)
 
 
-class TestShapeClass:
-    def test_log2_bucketing(self):
-        assert shape_class(1024, 256) == (10, 8)
-        # Within a factor of two -> same bucket.
-        assert shape_class(1024) == shape_class(1536)
-        assert shape_class(1024) != shape_class(2048)
-
-    def test_degenerate_dims(self):
-        assert shape_class(0) == (-1,)
-        assert shape_class(1) == (0,)
-
-
-class _CountingCandidates:
-    """Two candidates with call counters, 'b' artificially slower."""
-
-    def __init__(self):
-        self.calls = {"a": 0, "b": 0}
-
-    def mapping(self):
-        def slow_b():
-            self.calls["b"] += 1
-            total = 0.0
-            for i in range(20000):
-                total += i * 1e-9
-            return 42 + total * 0
-
-        def fast_a():
-            self.calls["a"] += 1
-            return 42
-
-        return {"a": fast_a, "b": slow_b}
-
-
-class TestKernelTuner:
-    def test_cold_tune_runs_candidates_then_memoizes(self):
-        tuner = KernelTuner(ArtifactCache(disk_dir=""))
-        cands = _CountingCandidates()
-        out = tuner.run("k", (3,), cands.mapping())
-        assert out == 42
-        # Both candidates ran (twice each: warmup + timed).
-        assert cands.calls["a"] == 2 and cands.calls["b"] == 2
-        # Steady state: only the winner runs.
-        tuner.run("k", (3,), cands.mapping())
-        assert ("k", (3,)) in tuner.decisions()
-        winner = tuner.decisions()[("k", (3,))]
-        assert cands.calls[winner] == 3
-
-    def test_distinct_shapes_tune_independently(self):
-        tuner = KernelTuner(ArtifactCache(disk_dir=""))
-        cands = _CountingCandidates()
-        tuner.run("k", (3,), cands.mapping())
-        tuner.run("k", (4,), cands.mapping())
-        assert set(tuner.decisions()) == {("k", (3,)), ("k", (4,))}
-
-    def test_winner_persists_to_fresh_session_via_disk_tier(self, tmp_path):
-        cache_dir = str(tmp_path / "cache")
-        first = KernelTuner(ArtifactCache(disk_dir=cache_dir))
-        cands = _CountingCandidates()
-        first.run("k", (5,), cands.mapping())
-        winner = first.decisions()[("k", (5,))]
-
-        # A fresh tuner over a fresh cache object sharing the directory
-        # (a new process/Session) replays the decision without timing.
-        second = KernelTuner(ArtifactCache(disk_dir=cache_dir))
-        replay = _CountingCandidates()
-        out = second.run("k", (5,), replay.mapping())
-        assert out == 42
-        assert second.decisions()[("k", (5,))] == winner
-        loser = "a" if winner == "b" else "b"
-        assert replay.calls[loser] == 0  # no re-timing
-
-    def test_eviction_then_valid_cold_retune(self, tmp_path, monkeypatch):
-        cache_dir = str(tmp_path / "cache")
-        cache = ArtifactCache(disk_dir=cache_dir)
-        tuner = KernelTuner(cache)
-        cands = _CountingCandidates()
-        tuner.run("k", (6,), cands.mapping())
-        # Force a full LRU purge of the disk tier.
-        monkeypatch.setenv("REPRO_CACHE_MAX_MB", "0")
-        cache._evict_over_cap()
-        leftover = list((tmp_path / "cache").rglob("*.pkl"))
-        assert leftover == []
-        monkeypatch.delenv("REPRO_CACHE_MAX_MB")
-
-        # A fresh tuner re-tunes cold and lands on a valid decision.
-        fresh = KernelTuner(ArtifactCache(disk_dir=cache_dir))
-        retune = _CountingCandidates()
-        out = fresh.run("k", (6,), retune.mapping())
-        assert out == 42
-        assert retune.calls["a"] >= 2 and retune.calls["b"] >= 2
-        assert fresh.decisions()[("k", (6,))] in ("a", "b")
-
-    def test_stale_record_retunes_locally(self):
-        cache = ArtifactCache(disk_dir="")
-        key = cache_key("kernel-tuner", "k", (7,), ("new-a", "new-b"))
-        # Poison the cache with a winner that no longer exists.
-        cache.get_or_compute(
-            KernelTuner.NAMESPACE, key,
-            lambda: {"winner": "renamed-away", "timings": {}},
-        )
-        tuner = KernelTuner(cache)
-        out = tuner.run("k", (7,), {"new-a": lambda: "A", "new-b": lambda: "A"})
-        assert out == "A"
-        assert tuner.decisions()[("k", (7,))] in ("new-a", "new-b")
-
-    def test_tuning_never_touches_global_rng(self, tmp_path):
-        state_before = np.random.get_state()[1].copy()
-        tuner = KernelTuner(ArtifactCache(disk_dir=str(tmp_path / "c")))
-        tuner.run("k", (8,), _CountingCandidates().mapping())
-        state_after = np.random.get_state()[1]
-        assert np.array_equal(state_before, state_after)
-
-    def test_module_run_tuned_uses_process_tuner(self):
-        sentinel = KernelTuner(ArtifactCache(disk_dir=""))
-        kernels.set_tuner(sentinel)
-        kernels.run_tuned("k", (9,), {"only": lambda: "x"})
-        assert sentinel.decisions() == {("k", (9,)): "only"}
-
-
-class TestTunedKernelDispatch:
-    def test_exact_mode_never_consults_tuner(self):
-        from repro.graphs.generators import dc_sbm_graph
-
-        graph = dc_sbm_graph(64, 2, 4.0, random_state=0)
-        tuner = kernels.tuner()
-        graph.normalized_adjacency_matmul(
-            np.ones((64, 4), dtype=np.float32)
-        )
-        assert tuner.decisions() == {}
-
-    def test_fast_mode_tunes_spmm_and_segment_fold(self):
-        from repro.graphs.generators import dc_sbm_graph
-        from repro.hardware.engine import segment_fold
-
-        graph = dc_sbm_graph(64, 2, 4.0, random_state=0)
-        x = np.ones((64, 4), dtype=np.float32)
-        rows = np.ones((graph.num_arcs, 4), dtype=np.float32)
-        init = np.zeros((64, 4), dtype=np.float32)
-        with numerics("fast"):
-            graph.normalized_adjacency_matmul(x)
-            segment_fold(graph.indptr, rows, init)
-        kinds = {kernel for kernel, _ in kernels.tuner().decisions()}
-        assert kinds == {"spmm_normalized", "segment_fold"}
+def test_sorted_unique_sizes_zero_and_one():
+    for dtype in (np.int64, np.float64):
+        _assert_same(np.empty(0, dtype=dtype))
+        _assert_same(np.array([7], dtype=dtype))

@@ -1,8 +1,11 @@
 """RunSpec/Session semantics: hashing, resolution, determinism."""
 
 import json
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError, ExperimentError
 from repro.perf.cache import ArtifactCache
@@ -64,6 +67,57 @@ class TestRunSpec:
         # to_dict is JSON-serialisable as-is (worker task payloads).
         json.dumps(spec.to_dict())
 
+    def test_spec_hashes_pinned(self):
+        # Literal digests: removing a field must not move any recorded
+        # provenance hash or cache key.
+        assert RunSpec().spec_hash() == (
+            "0d8662d274e4e8e50faf0bfe7fc162cd8c4f9139171c9aed9b6c38b1cd1b7bee"
+        )
+        assert RunSpec(backend="trace").spec_hash() == (
+            "089d36a3647a32aea1ddda848c4ffbd3ba3b970dd8d378be8c529ce24e4cdeb0"
+        )
+        assert RunSpec(seed=3, dataset="cora", scale=0.5).spec_hash() == (
+            "439ced15a564f07c02c1d065defc01f2dc5d450dbce1afe1491ef199c6e8dfdf"
+        )
+
+    @given(
+        dataset=st.sampled_from([None, "cora", "ddi", "products"]),
+        seed=st.integers(0, 2 ** 31),
+        micro_batch=st.integers(1, 4096),
+        scale=st.floats(1e-3, 1e3, allow_nan=False),
+        array_bytes=st.integers(1, 2 ** 40),
+        weight_bits=st.none() | st.integers(1, 16),
+        accelerator=st.sampled_from([None, "gopim", "serial"]),
+        backend=st.sampled_from(["analytic", "trace"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_dict_round_trip_keeps_hash(
+        self, dataset, seed, micro_batch, scale, array_bytes, weight_bits,
+        accelerator, backend,
+    ):
+        hardware = {} if weight_bits is None else {"weight_bits": weight_bits}
+        spec = RunSpec(
+            dataset=dataset, seed=seed, micro_batch=micro_batch,
+            scale=scale, array_bytes=array_bytes, hardware=hardware,
+            accelerator=accelerator, backend=backend,
+        )
+        payload = json.loads(json.dumps(spec.to_dict()))
+        clone = RunSpec.from_dict(payload)
+        assert clone == spec
+        assert clone.spec_hash() == spec.spec_hash()
+
+    def test_numerics_is_not_a_field(self):
+        # Only the exact tier exists; the read-only property serves
+        # readers of ``spec.numerics`` and never reaches dicts or hashes.
+        spec = RunSpec()
+        assert spec.numerics == "exact"
+        assert "numerics" not in {f.name for f in fields(RunSpec)}
+        assert "numerics" not in spec.to_dict()
+        with pytest.raises(ConfigError):
+            RunSpec.from_dict({"numerics": "fast"})
+        with pytest.raises(TypeError):
+            RunSpec(numerics="fast")
+
     def test_with_derives_variants(self):
         spec = RunSpec(dataset="ddi")
         assert spec.with_(seed=7).seed == 7
@@ -102,6 +156,7 @@ class TestSessionArtifacts:
         assert prov["spec_hash"] == session.spec.spec_hash()
         assert prov["run_spec"]["dataset"] == "cora"
         assert prov["config_fingerprint"] == session.config_fingerprint()
+        assert "numerics" not in prov
 
 
 class TestDeterminism:
